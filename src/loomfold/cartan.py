@@ -155,6 +155,38 @@ def _gcm_from_edges(m: int, edges) -> list[list[int]]:
     return a
 
 
+def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact Gauss-Jordan elimination of a rational matrix.
+
+    Returns the reduced row echelon form and the pivot column of each of
+    its leading rows, in order; the rows after those are zero.
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _primitive(v) -> list[int]:
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    lcm = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * lcm) for x in v]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
+
+
 def _symmetrizer(a: list[list[int]], edges, m: int) -> list[int]:
     # Solve d_i * a_ij = d_j * a_ji along the (connected) diagram, min d = 1.
     adj: dict[int, list[int]] = {i: [] for i in range(m)}
@@ -170,14 +202,7 @@ def _symmetrizer(a: list[list[int]], edges, m: int) -> list[int]:
             if d[j] is None:
                 d[j] = d[i] * a[i][j] / a[j][i]
                 stack.append(j)
-    lcm = 1
-    for x in d:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    ints = [x // g for x in ints]
+    ints = _primitive(d)
     if min(ints) != 1:
         raise InvalidType("symmetrizer normalization failed")
     return ints
@@ -186,38 +211,16 @@ def _symmetrizer(a: list[list[int]], edges, m: int) -> list[int]:
 def _primitive_null(a: list[list[int]]) -> list[int]:
     """Primitive positive integer vector v with a @ v = 0 (kernel is 1-dim)."""
     m = len(a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    piv_cols = []
-    rr = 0
-    for c in range(m):
-        p = next((i for i in range(rr, m) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[rr], rows[p] = rows[p], rows[rr]
-        pv = rows[rr][c]
-        rows[rr] = [x / pv for x in rows[rr]]
-        for i in range(m):
-            if i != rr and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rr])]
-        piv_cols.append(c)
-        rr += 1
-    free = [c for c in range(m) if c not in piv_cols]
+    rows, pivots = _rref(a)
+    free = [c for c in range(m) if c not in pivots]
     if len(free) != 1:
         raise InvalidType("affine GCM must have a 1-dimensional kernel")
     fc = free[0]
     v = [Fraction(0)] * m
     v[fc] = Fraction(1)
-    for i, c in enumerate(piv_cols):
+    for i, c in enumerate(pivots):
         v[c] = -rows[i][fc]
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    ints = [x // g for x in ints]
+    ints = _primitive(v)
     if ints[0] < 0:
         ints = [-x for x in ints]
     if any(x <= 0 for x in ints):

@@ -1,4 +1,4 @@
-"""Command-line interface: every computation plus the full verification suite.
+"""Command-line interface: every computation, and verify-all over `loomfold.verify`.
 
 Type strings use `~` for the twist superscript (A5~2 means the second
 twist of A_5) to stay shell-safe.  All subcommands are pure functions of
@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import cartan, characters, folding, pbw, qsymbolic, weyl
+from . import cartan, characters, folding, pbw, qsymbolic, verify, weyl
 from .cartan import AffineData, InvalidType
 
 
@@ -24,6 +24,24 @@ class ParseError(ValueError):
 
 class UnknownType(ValueError):
     """Well-formed type string that is not a row of the affine table."""
+
+
+class OutOfRange(ValueError):
+    """A --node or --degree value outside its range."""
+
+
+def _node(d: AffineData, s: int) -> int:
+    """s, checked to be one of the nodes 1..n of d (0 is the affine node)."""
+    if not 1 <= s <= d.n:
+        raise OutOfRange(f"node {s} is not in 1..{d.n} for {d.type}")
+    return s
+
+
+def _degree(k: int) -> int:
+    """k, checked to be a height bound >= 0."""
+    if k < 0:
+        raise OutOfRange(f"degree {k} is negative")
+    return k
 
 
 def parse_type(text: str) -> cartan.AffineType:
@@ -77,7 +95,7 @@ def cmd_cartan(args) -> int:
 
 def cmd_inversions(args) -> int:
     d = _data(args)
-    s = args.node
+    s = _node(d, args.node)
     out: dict = {"type": str(d.type), "node": s, "method": args.method}
     closed = weyl.inversion_set_closed_form(d, s)
     word, tau = weyl.alcove_factorize(d, weyl.translation_minus_lambda(d, s))
@@ -102,7 +120,8 @@ def cmd_fold_verify(args) -> int:
     d = _data(args)
     if d.type.r == 1:
         raise UnknownType(f"{d.type} is untwisted; fold-verify needs a twisted type")
-    nodes = range(1, d.n + 1) if args.all or args.node is None else [args.node]
+    node = None if args.node is None else _node(d, args.node)
+    nodes = range(1, d.n + 1) if args.all or node is None else [node]
     cells = []
     code = 0
     for s in nodes:
@@ -121,9 +140,10 @@ def cmd_fold_verify(args) -> int:
 
 def cmd_char(args) -> int:
     d = _data(args)
-    ser = characters.char_product(d, args.node, args.degree)
+    s, degree = _node(d, args.node), _degree(args.degree)
+    ser = characters.char_product(d, s, degree)
     out: dict = {
-        "type": str(d.type), "node": args.node, "degree": args.degree,
+        "type": str(d.type), "node": s, "degree": degree,
         "series": {_monomial_key(m): c for m, c in sorted(ser.terms.items())},
     }
     code = 0
@@ -132,9 +152,9 @@ def cmd_char(args) -> int:
             raise UnknownType(f"{d.type} is untwisted; --fold-check needs a twisted type")
         om = folding.sigma_for(d)
         parent = characters.product_from_exponents(
-            folding.parent_char_exponents(om, args.node), om.parent_rank, args.degree)
-        folded = characters.fold_series(parent, om, args.degree)
-        rep = characters.series_equal(folded, ser, args.degree)
+            folding.parent_char_exponents(om, s), om.parent_rank, degree)
+        folded = characters.fold_series(parent, om, degree)
+        rep = characters.series_equal(folded, ser, degree)
         out["fold_check"] = {"equal": rep.equal,
                              "witness": None if rep.witness is None else
                              {"monomial": _monomial_key(rep.witness[0]),
@@ -146,7 +166,7 @@ def cmd_char(args) -> int:
 
 def cmd_pbw_graph(args) -> int:
     d = _data(args)
-    case = pbw.minuscule_case(d, args.node)
+    case = pbw.minuscule_case(d, _node(d, args.node))
     g = pbw.eprime_graph(case)
     if args.format == "dot":
         print(pbw.graph_to_dot(g))
@@ -209,63 +229,10 @@ def cmd_serre_check(args) -> int:
     return code
 
 
-def _verify_cells(degree: int, inject_fault: bool = False):
-    """Yield (suite, label, ok, detail) over the whole rank-8 verification sweep."""
-    for at in cartan.all_affine_types(8):
-        d = cartan.build_affine(at)
-        for s in range(1, d.n + 1):
-            word, tau = weyl.alcove_factorize(d, weyl.translation_minus_lambda(d, s))
-            betas = weyl.inversion_set_from_word(d, word)
-            closed = weyl.inversion_set_closed_form(d, s)
-            ok = (set(betas) == set(closed) and len(word) == len(closed)
-                  and word[0] == s and word[-1] == tau[0])
-            yield "oracle", f"{at} s={s}", ok, f"l={len(word)}"
-    fault_target = ("D3~2", 2)
-    for at in cartan.twisted_types(8):
-        d = cartan.build_affine(at)
-        for s in range(1, d.n + 1):
-            fault = inject_fault and (str(at), s) == fault_target
-            try:
-                folding.verify_fold_identity(d, s, xi_fault=fault)
-                yield "fold", f"{at} s={s}", True, ""
-            except folding.IdentityViolation as exc:
-                yield "fold", f"{at} s={s}", False, str(exc)
-    for at in cartan.twisted_types(8):
-        d = cartan.build_affine(at)
-        om = folding.sigma_for(d)
-        for s in range(1, d.n + 1):
-            parent = characters.product_from_exponents(
-                folding.parent_char_exponents(om, s), om.parent_rank, degree)
-            folded = characters.fold_series(parent, om, degree)
-            rep = characters.series_equal(folded, characters.char_product(d, s, degree), degree)
-            yield "series", f"{at} s={s} D={degree}", rep.equal, str(rep.witness or "")
-    for type_str, s, expect_word in (("A5~2", 1, (1, 2, 3, 2, 1)),
-                                     ("D3~2", 2, (2, 1, 2)),
-                                     ("D4~2", 3, (3, 2, 1, 3, 2, 3))):
-        d = cartan.build_affine(parse_type(type_str))
-        case = pbw.minuscule_case(d, s)
-        g = pbw.eprime_graph(case)
-        ok = (weyl.braid2_canonical(d, case.word) == weyl.braid2_canonical(d, expect_word)
-              and not g.pairing_misses)
-        yield "pbw", f"{type_str} s={s}", ok, f"edges={len(g.edges)}"
-    q_ok = True
-    try:
-        qsymbolic.serre_coeff_check("i1j0_D")
-        qsymbolic.serre_coeff_check("i0j1_D")
-        for n in range(2, 11):
-            assert qsymbolic.eta_case("A2n-1~2", n).cancellation_ok
-            assert qsymbolic.eta_case("Dn+1~2", n).cancellation_ok
-    except (qsymbolic.NonzeroCoefficient, AssertionError) as exc:
-        q_ok = False
-        yield "qsymbolic", "identities", False, str(exc)
-    if q_ok:
-        yield "qsymbolic", "identities", True, ""
-
-
 def cmd_verify_all(args) -> int:
     failures = 0
     total = 0
-    for suite, label, ok, detail in _verify_cells(args.degree, args.inject_fault):
+    for suite, label, ok, detail in verify.cells(_degree(args.degree), args.inject_fault):
         total += 1
         if not ok:
             failures += 1

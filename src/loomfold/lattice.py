@@ -28,11 +28,6 @@ def height(v: Vec) -> int:
     return sum(v)
 
 
-def is_positive(v: Vec) -> bool:
-    """Nonzero with all coordinates >= 0 (membership in Q_+ \\ {0})."""
-    return any(x != 0 for x in v) and all(x >= 0 for x in v)
-
-
 def is_negative(v: Vec) -> bool:
     return any(x != 0 for x in v) and all(x <= 0 for x in v)
 
@@ -98,8 +93,3 @@ def root_norm(data: AffineData, v: Vec) -> int:
 def is_long(data: AffineData, v: Vec) -> bool:
     """Long root test for twisted types: (beta, beta) = 2r (short roots have norm 2)."""
     return root_norm(data, v) == 2 * data.type.r
-
-
-def short_positive_roots(data: AffineData) -> list[Vec]:
-    """Finite positive roots of norm 2."""
-    return [b for b in finite_positive_roots(data) if root_norm(data, b) == 2]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import AffineData, Matrix, Vec
+from .cartan import AffineData, Matrix, Vec, _rref
 from .lattice import finite_positive_roots, is_negative, root_norm
 
 
@@ -87,28 +87,14 @@ def translation_minus_lambda(data: AffineData, s: int) -> ExtWeylElt:
 def _int_inverse(matrix: Matrix) -> list[list[int]]:
     """Exact inverse; lattice automorphisms have integer inverses."""
     m = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    for c in range(m):
-        p = next((i for i in range(c, m) if a[i][c] != 0), None)
-        if p is None:
-            raise NotLengthZeroResidue("matrix is singular")
-        a[c], a[p] = a[p], a[c]
-        inv[c], inv[p] = inv[p], inv[c]
-        pv = a[c][c]
-        a[c] = [x / pv for x in a[c]]
-        inv[c] = [x / pv for x in inv[c]]
-        for i in range(m):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[c])]
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise NotLengthZeroResidue("matrix is not a root-lattice automorphism")
-        out.append([int(x) for x in row])
-    return out
+    rows, pivots = _rref([list(row) + [int(i == j) for j in range(m)]
+                          for i, row in enumerate(matrix)])
+    if pivots[:m] != list(range(m)):
+        raise NotLengthZeroResidue("matrix is singular")
+    inv = [row[m:] for row in rows]
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise NotLengthZeroResidue("matrix is not a root-lattice automorphism")
+    return [[int(x) for x in row] for row in inv]
 
 
 def _left_reflect(gcm, i, m_rows) -> None:

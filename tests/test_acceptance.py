@@ -5,14 +5,9 @@ Each test prints one PASS line on success (run with -s to see them inline).
 
 import time
 
-from loomfold.cartan import all_affine_types, bilinear, build, build_affine, twisted_types
-from loomfold.characters import (
-    char_product,
-    fold_series,
-    product_from_exponents,
-    series_equal,
-)
-from loomfold.folding import parent_char_exponents, sigma_for, verify_fold_identity
+from loomfold.cartan import all_affine_types, bilinear, build, build_affine
+from loomfold.characters import char_product, product_from_exponents
+from loomfold.folding import verify_fold_identity
 from loomfold.lattice import project_bar
 from loomfold.pbw import classify_x0, eprime_graph, minuscule_case
 from loomfold.qsymbolic import eta_case, q_power, qint, serre_coeff_check
@@ -20,10 +15,10 @@ from loomfold.weyl import (
     alcove_factorize,
     braid2_canonical,
     inversion_set_closed_form,
-    inversion_set_from_word,
     length_delta,
     translation_minus_lambda,
 )
+from loomfold.verify import fold_cells, oracle_cells, series_cells
 
 
 def _elapsed(t0):
@@ -69,27 +64,17 @@ def test_criterion_2_reduced_word_fixtures():
 
 def test_criterion_3_oracle_equivalence():
     t0 = time.monotonic()
-    cells = 0
-    for at in all_affine_types(8):
-        d = build_affine(at)
-        for s in range(1, d.n + 1):
-            word, _ = alcove_factorize(d, translation_minus_lambda(d, s))
-            betas = inversion_set_from_word(d, word)
-            assert set(betas) == set(inversion_set_closed_form(d, s)), (at, s)
-            cells += 1
-    assert cells == 271
+    cells = list(oracle_cells())
+    assert [c for c in cells if not c[2]] == []
+    assert len(cells) == 271
     assert _elapsed(t0) < 30.0
-    print(f"ACCEPTANCE 3: PASS  word = closed-form on {cells} cells")
+    print(f"ACCEPTANCE 3: PASS  word = closed-form on {len(cells)} cells")
 
 
 def test_criterion_4_folding_exponent_identity():
     t0 = time.monotonic()
-    cells = 0
-    for at in twisted_types(8):
-        d = build_affine(at)
-        for s in range(1, d.n + 1):
-            verify_fold_identity(d, s)
-            cells += 1
+    cells = list(fold_cells(inject_fault=False))
+    assert [c for c in cells if not c[2]] == []
     # the E6~2 s=2 fiber over 2321 with sides 3 = 3
     report = verify_fold_identity(build("E", 6, 2), 2)
     entry = next(e for e in report if e.beta == (0, 2, 3, 2, 1))
@@ -101,27 +86,18 @@ def test_criterion_4_folding_exponent_identity():
     folded2 = {e.beta for e in verify_fold_identity(d43, 2)}
     assert folded1 == {(0, 1, 0), (0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 3, 2)}
     assert folded2 == {(0, 0, 1), (0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 3, 2)}
-    assert cells == 110
+    assert len(cells) == 110
     assert _elapsed(t0) < 10.0
-    print(f"ACCEPTANCE 4: PASS  fold identity exact on {cells} twisted cells")
+    print(f"ACCEPTANCE 4: PASS  fold identity exact on {len(cells)} twisted cells")
 
 
 def test_criterion_5_character_folding_series():
     t0 = time.monotonic()
-    cells = 0
-    for at in twisted_types(8):
-        d = build_affine(at)
-        om = sigma_for(d)
-        for s in range(1, d.n + 1):
-            parent = product_from_exponents(
-                parent_char_exponents(om, s), om.parent_rank, 12)
-            folded = fold_series(parent, om, 12)
-            rep = series_equal(folded, char_product(d, s, 12), 12)
-            assert rep.equal, (at, s, rep.witness)
-            cells += 1
-    assert cells == 110
+    cells = list(series_cells(12))
+    assert [c for c in cells if not c[2]] == []
+    assert len(cells) == 110
     assert _elapsed(t0) < 60.0
-    print(f"ACCEPTANCE 5: PASS  series folding theorem at D=12 on {cells} cells")
+    print(f"ACCEPTANCE 5: PASS  series folding theorem at D=12 on {len(cells)} cells")
 
 
 def test_criterion_6_a22_coefficient_law():

@@ -1,9 +1,13 @@
 """CLI surface: type parsing, JSON determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import loomfold
 from loomfold.cli import ParseError, UnknownType, main, parse_type
 
 
@@ -138,3 +142,44 @@ def test_verify_all_fault_injection(capsys):
     assert code == 1
     assert "FAIL fold" in out
     assert "identity fails" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("inversions", "--type", "A5~2", "--node", "-1"),
+    ("inversions", "--type", "A5~2", "--node", "0"),
+    ("inversions", "--type", "A5~2", "--node", "9"),
+    ("char", "--type", "A5~2", "--node", "0"),
+    ("char", "--type", "A5~2", "--node", "4"),
+    ("char", "--type", "A5~2", "--node", "1", "--degree", "-3"),
+    ("fold-verify", "--type", "A5~2", "--node", "7"),
+    ("fold-verify", "--type", "A5~2", "--node", "0"),
+    ("fold-verify", "--type", "A5~2", "--node", "-1"),
+    ("fold-verify", "--type", "A5~2", "--all", "--node", "9"),
+    ("verify-all", "--degree", "-1"),
+])
+def test_out_of_range_node_or_degree(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert argv[-2].lstrip("-") in err  # names the bad node or degree
+    assert "Traceback" not in err
+
+
+def test_eta_check_survives_optimize():
+    # under python -O a bare assert would let a failed eta cancellation pass
+    script = (
+        "import dataclasses, sys\n"
+        "if __debug__: sys.exit(3)\n"
+        "from loomfold import cli, qsymbolic\n"
+        "real = qsymbolic.eta_case\n"
+        "qsymbolic.eta_case = lambda *a, **k: dataclasses.replace("
+        "real(*a, **k), cancellation_ok=False)\n"
+        "sys.exit(cli.main(['verify-all', '--degree', '0']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(loomfold.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "FAIL qsymbolic" in proc.stdout

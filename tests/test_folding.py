@@ -18,6 +18,7 @@ from loomfold.folding import (
     xi,
 )
 from loomfold.lattice import is_long
+from loomfold.verify import fold_cells
 
 
 def test_sigma_fixtures():
@@ -152,17 +153,11 @@ def test_xi_not_in_inversion_set():
 
 
 def test_fold_identity_sweep():
-    cells = 0
-    for at in twisted_types(8):
-        d = build_affine(at)
-        for s in range(1, d.n + 1):
-            report = verify_fold_identity(d, s)
-            for entry in report:
-                assert entry.lhs == entry.rhs
-                prod = entry.xi * entry.beta[s]
-                assert prod.denominator == 1 and prod >= 0
-            cells += 1
-    assert cells == 110
+    # verify_fold_identity raises unless lhs == rhs == multiplicity of each
+    # entry, so every xi * [beta]_s it accepts is a positive integer
+    cells = list(fold_cells(inject_fault=False))
+    assert [c for c in cells if not c[2]] == []
+    assert len(cells) == 110
 
 
 def test_fold_identity_e62_s2_fixture():
