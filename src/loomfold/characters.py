@@ -3,19 +3,21 @@
 A series is a map from exponent vectors m (the monomial e^{-sum m_i alpha_i})
 to integer coefficients, truncated at plain height sum(m_i) <= degree.
 Coefficients are Python ints, so arbitrary precision; no floating point
-enters this module.  Each geometric factor (1 - e^{-beta})^{-e} is folded
-in via the multiset-coefficient convolution C(k+e-1, e-1) in one pass,
-and the accumulation is map-based, so the product is independent of
-factor order.
+enters this module.  The product kernel keeps one term dict per height
+0..degree and applies each factor (1 - e^{-beta})^{-e} as e in-place
+divisions by (1 - e^{-beta}): walking the heights upwards, every c[m] is
+added into c[m + beta].  A factor taller than the truncation only
+contributes its constant term 1 and is skipped.  Each division is exact
+and the divisions commute, so the product does not depend on factor order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from operator import add
 
 from .cartan import AffineData, Vec
-from .folding import OrbitMap, _xi_value, bar_inversion_parts, fold_root
+from .folding import OrbitMap, _xi_value, bar_inversion_parts
 
 
 class NonIntegerExponent(ValueError):
@@ -24,6 +26,18 @@ class NonIntegerExponent(ValueError):
 
 class RankMismatch(ValueError):
     """Series over different index sets compared."""
+
+
+class NegativeDegree(ValueError):
+    """A product truncated below height 0."""
+
+
+class NotPositiveRoot(ValueError):
+    """A product factor (1 - e^{-beta})^{-e} with beta of height < 1."""
+
+
+class MultiplicityMismatch(ValueError):
+    """A product-formula exponent differs from its delta-shift multiplicity."""
 
 
 @dataclass(frozen=True)
@@ -40,33 +54,28 @@ def one(rank: int, degree: int) -> CharSeries:
     return CharSeries(rank=rank, degree=degree, terms={tuple([0] * (rank + 1)): 1})
 
 
-def _geometric_mul(terms: dict, beta: Vec, e: int, degree: int) -> dict:
-    # multiply by (1 - x^beta)^{-e}: coefficients C(k+e-1, e-1) on x^{k beta}
-    hb = sum(beta)
-    out: dict = {}
-    for m, c in terms.items():
-        h = sum(m)
-        k = 0
-        mm = m
-        while h + k * hb <= degree:
-            w = c * comb(k + e - 1, e - 1)
-            if mm in out:
-                out[mm] += w
-            else:
-                out[mm] = w
-            k += 1
-            mm = tuple(x + y for x, y in zip(mm, beta))
-    return out
-
-
 def product_from_exponents(exponents, rank: int, degree: int) -> CharSeries:
     """Expand prod (1 - e^{-beta})^{-e} over (beta, e) pairs to the given height."""
-    terms = {tuple([0] * (rank + 1)): 1}
+    if degree < 0:
+        raise NegativeDegree(f"truncation degree {degree} < 0")
+    by_height: list[dict] = [{} for _ in range(degree + 1)]
+    by_height[0][tuple([0] * (rank + 1))] = 1
     for beta, e in exponents:
         if e < 0:
             raise NonIntegerExponent(f"negative exponent {e} at {beta}")
-        if e:
-            terms = _geometric_mul(terms, beta, e, degree)
+        hb = sum(beta)
+        if e == 0 or hb > degree:
+            continue
+        if hb < 1:
+            raise NotPositiveRoot(f"factor root {beta} has height {hb}")
+        for _ in range(e):
+            # divide by (1 - x^beta): ascending heights, so c[m] is final when read
+            for h in range(degree - hb + 1):
+                dst = by_height[h + hb]
+                for m, c in by_height[h].items():
+                    mm = tuple(map(add, m, beta))
+                    dst[mm] = dst.get(mm, 0) + c
+    terms = {m: c for bucket in by_height for m, c in bucket.items()}
     return CharSeries(rank=rank, degree=degree, terms=terms)
 
 
@@ -85,7 +94,10 @@ def char_exponents(data: AffineData, s: int) -> list[tuple[Vec, int]]:
             if ef.denominator != 1:
                 raise NonIntegerExponent(f"xi*[beta]_s = {ef} at {beta} in {data.type}")
             e = int(ef)
-        assert e == mult  # exponent equals the delta-shift multiplicity
+        if e != mult:
+            raise MultiplicityMismatch(
+                f"exponent {e} differs from the delta-shift multiplicity {mult} "
+                f"at {beta} in {data.type} s={s}")
         out.append((beta, e))
     return out
 
@@ -100,11 +112,19 @@ def fold_series(series: CharSeries, om: OrbitMap, degree: int) -> CharSeries:
     if series.degree < degree:
         raise RankMismatch(f"series truncated at {series.degree} < requested {degree}")
     n = om.twisted.n
+    node = [0] * (om.parent_rank + 1)     # parent slot -> twisted node; slot 0 stays 0
+    for t, orb in enumerate(om.orbits, start=1):
+        for i in orb:
+            node[i] = t
+    cut = series.degree > degree
     out: dict = {}
     for m, c in series.terms.items():
-        if sum(m) > degree:
+        if cut and sum(m) > degree:
             continue
-        fm = fold_root(om, m)
+        fm = [0] * (n + 1)
+        for t, x in zip(node, m):
+            fm[t] += x
+        fm = tuple(fm)
         if fm in out:
             out[fm] += c
         else:
@@ -124,13 +144,15 @@ def series_equal(a: CharSeries, b: CharSeries, degree: int) -> EqualityReport:
         raise RankMismatch(f"rank {a.rank} vs {b.rank}")
     if a.degree < degree or b.degree < degree:
         raise RankMismatch("series not truncated deep enough for the comparison")
-    keys = set(a.terms) | set(b.terms)
+    # a series truncated at this degree is taken as is; the loop skips taller terms
+    ta, tb = (x.terms if x.degree == degree else
+              {m: c for m, c in x.terms.items() if sum(m) <= degree} for x in (a, b))
     worst = None
-    for m in sorted(keys, key=lambda m: (sum(m), m)):
-        if sum(m) > degree:
-            continue
-        ca, cb = a.terms.get(m, 0), b.terms.get(m, 0)
-        if ca != cb:
-            worst = (m, ca, cb)
-            break
+    if ta != tb:
+        # the first divergence by (height, monomial); a stored 0 counts as absent
+        for m in sorted(ta.keys() | tb.keys(), key=lambda m: (sum(m), m)):
+            ca, cb = ta.get(m, 0), tb.get(m, 0)
+            if ca != cb and sum(m) <= degree:
+                worst = (m, ca, cb)
+                break
     return EqualityReport(equal=worst is None, witness=worst)

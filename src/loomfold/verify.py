@@ -41,10 +41,10 @@ def fold_cells(inject_fault: bool):
                 yield "fold", f"{at} s={s}", False, str(exc)
 
 
-def series_cells(degree: int):
+def series_cells(degree: int, max_n: int = 8):
     """Folded parent series vs twisted character series up to height
-    `degree`, on every twisted node with n <= 8 (110 cells)."""
-    for at in cartan.twisted_types(8):
+    `degree`, on every twisted node with n <= max_n (110 cells at 8)."""
+    for at in cartan.twisted_types(max_n):
         d = cartan.build_affine(at)
         om = folding.sigma_for(d)
         for s in range(1, d.n + 1):

@@ -1,13 +1,20 @@
 """Character products, the series-level folding theorem, and series plumbing."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import loomfold
 from loomfold.cartan import build, build_affine, twisted_types
 from loomfold.characters import (
     CharSeries,
+    MultiplicityMismatch,
+    NegativeDegree,
     NonIntegerExponent,
+    NotPositiveRoot,
     RankMismatch,
     char_exponents,
     char_product,
@@ -88,10 +95,11 @@ def test_exponents_are_positive_integers():
 
 
 def test_folding_theorem_series_level():
-    # fold(parent product) = twisted product at height 12, every twisted cell
-    cells = list(series_cells(12))
+    # fold(parent product) = twisted product at height 20, every twisted
+    # cell with n <= 4 (acceptance criterion 5 covers height 12, n <= 8)
+    cells = list(series_cells(20, max_n=4))
     assert [c for c in cells if not c[2]] == []
-    assert len(cells) == 110
+    assert len(cells) == 32
 
 
 def test_fold_series_a22_example():
@@ -104,6 +112,14 @@ def test_fold_series_a22_example():
     folded = fold_series(parent, om, 10)
     assert series_equal(folded, char_product(d, 1, 10), 10).equal
     assert fold_series(one(2, 10), om, 10).terms == {(0, 0): 1}
+
+
+def test_fold_series_truncates_deeper_series():
+    om = sigma_for(build("E", 6, 2))
+    exps = parent_char_exponents(om, 2)
+    deep = fold_series(product_from_exponents(exps, 6, 9), om, 5)
+    assert deep.degree == 5
+    assert deep.terms == fold_series(product_from_exponents(exps, 6, 5), om, 5).terms
 
 
 def test_parent_exponents_match_untwisted_affine_route():
@@ -156,6 +172,15 @@ def test_witness_is_minimal_height():
     assert rep.witness == ((0, 2), 5, 7)
 
 
+def test_series_equal_ignores_zeros_and_higher_terms():
+    a = CharSeries(rank=1, degree=4, terms={(0, 0): 1, (0, 1): 0})
+    b = CharSeries(rank=1, degree=6, terms={(0, 0): 1, (0, 5): 3})
+    c = CharSeries(rank=1, degree=4, terms={(0, 0): 1, (0, 6): 2})
+    for x, y in ((a, b), (b, a), (a, c), (c, b)):
+        assert series_equal(x, y, 4) == series_equal(y, x, 4)
+        assert series_equal(x, y, 4).equal
+
+
 def test_coefficients_stay_integral():
     ser = char_product(build("A", 16, 2), 8, 12)
     assert all(isinstance(c, int) for c in ser.terms.values())
@@ -165,3 +190,55 @@ def test_coefficients_stay_integral():
 def test_negative_exponent_rejected():
     with pytest.raises(NonIntegerExponent):
         product_from_exponents([((0, 1), -1)], 1, 4)
+
+
+@pytest.mark.parametrize("exponents, rank, degree", [
+    ([((0, 1, 1), 1), ((0, 0, 7), 2), ((0, 1, 0), 1)], 2, 6),   # a factor taller than D
+    ([((0, 1, 0), 3), ((0, 1, 1), 2), ((0, 0, 1), 0)], 2, 7),   # e >= 2 and e == 0
+    ([], 3, 5),                                                 # no factor at all
+    ([((0, 1, 0), 2), ((0, 1, 1), 1)], 2, 0),                   # degree 0
+    ([((0, 2, 1), 1), ((0, 0, 3), 1)], 2, 3),                   # heights exactly D
+])
+def test_product_edge_paths(exponents, rank, degree):
+    assert (product_from_exponents(exponents, rank, degree).terms
+            == brute_force_product(exponents, rank, degree))
+
+
+@pytest.mark.parametrize("key, s, degree", [(("E", 6, 2), 2, 7), (("D", 4, 3), 1, 9)])
+def test_parent_product_matches_brute_force(key, s, degree):
+    om = sigma_for(build(*key))
+    exps = parent_char_exponents(om, s)
+    assert (product_from_exponents(exps, om.parent_rank, degree).terms
+            == brute_force_product(exps, om.parent_rank, degree))
+
+
+def test_bad_degree_or_root_rejected():
+    for exps in ([], [((0, 1), 1)]):
+        with pytest.raises(NegativeDegree):
+            product_from_exponents(exps, 1, -1)
+    with pytest.raises(NotPositiveRoot):
+        product_from_exponents([((0, 0), 1)], 1, 4)
+
+
+def test_multiplicity_check_survives_optimize():
+    # under python -O a bare assert would let a wrong multiplicity through
+    script = (
+        "import sys\n"
+        "if __debug__: sys.exit(3)\n"
+        "from loomfold import cartan, characters\n"
+        "real = characters.bar_inversion_parts\n"
+        "characters.bar_inversion_parts = lambda d, s: {b: (m + 1, f) for b, (m, f) in real(d, s).items()}\n"
+        "try:\n"
+        "    characters.char_exponents(cartan.build('D', 3, 2), 2)\n"
+        "except characters.MultiplicityMismatch as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(loomfold.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "D3~2 s=2" in proc.stdout
+    assert issubclass(MultiplicityMismatch, ValueError)
