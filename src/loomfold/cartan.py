@@ -10,6 +10,7 @@ so that a_0 = 1 and theta = 2(alpha_1 + ... + alpha_n).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -228,13 +229,14 @@ def _primitive_null(a: list[list[int]]) -> list[int]:
     return ints
 
 
-_CACHE: dict[AffineType, AffineData] = {}
-
-
 def build_affine(at: AffineType) -> AffineData:
-    """Construct the full Cartan datum for one affine type."""
-    if at in _CACHE:
-        return _CACHE[at]
+    """The full Cartan datum for one affine type, built once per process."""
+    # stays a plain function: span tracers wrap plain functions only, not functools.cache objects
+    return _build_affine(at)
+
+
+@functools.cache
+def _build_affine(at: AffineType) -> AffineData:
     n, edges = _diagram(at.family, at.N, at.r)
     if n != at.n:
         raise InvalidType(f"rank mismatch for {at}")
@@ -247,7 +249,7 @@ def build_affine(at: AffineType) -> AffineData:
         raise InvalidType("a_0 = 1 must hold for every affine type")
     delta = tuple(kac)
     theta = tuple(delta[i] - (kac[0] if i == 0 else 0) for i in range(m))
-    data = AffineData(
+    return AffineData(
         type=at,
         gcm=tuple(tuple(row) for row in a),
         kac=tuple(kac),
@@ -256,8 +258,6 @@ def build_affine(at: AffineType) -> AffineData:
         delta=delta,
         theta=theta,
     )
-    _CACHE[at] = data
-    return data
 
 
 def build(family: str, N: int, r: int) -> AffineData:

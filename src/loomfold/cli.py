@@ -27,7 +27,12 @@ class UnknownType(ValueError):
 
 
 class OutOfRange(ValueError):
-    """A --node or --degree value outside its range."""
+    """A --node, --degree or rank N value outside its range."""
+
+
+# affine_type builds an N-long diagram and the Cartan build is O(N^3) exact
+# elimination, so the CLI caps N before calling either
+MAX_RANK = 64
 
 
 def _node(d: AffineData, s: int) -> int:
@@ -60,6 +65,8 @@ def parse_type(text: str) -> cartan.AffineType:
     if not rest.isdigit():
         raise ParseError("expected the twist r after '~'", k + 1)
     r = int(rest)
+    if big_n > MAX_RANK:
+        raise OutOfRange(f"type {text} has rank N = {big_n} above the cap {MAX_RANK}")
     try:
         return cartan.affine_type(text[0], big_n, r)
     except InvalidType as exc:
@@ -70,11 +77,8 @@ def _data(args) -> AffineData:
     return cartan.build_affine(parse_type(args.type))
 
 
-def _dump(obj, fmt: str = "json") -> None:
-    if fmt == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        print(obj)
+def _dump(obj) -> None:
+    print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _monomial_key(m) -> str:
@@ -248,7 +252,8 @@ def main(argv=None) -> int:
     top = argparse.ArgumentParser(
         prog="loomfold",
         description="Exact affine root-system data, folding, and character identities. "
-                    "Types are written FAMILY N ~ r, e.g. A5~2, D4~1, E6~2.")
+                    "Types are written FAMILY N ~ r, e.g. A5~2, D4~1, E6~2, "
+                    f"with N <= {MAX_RANK}.")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cartan", help="dump the Cartan datum of one affine type")

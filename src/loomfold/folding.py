@@ -10,8 +10,10 @@ coefficients over the fiber sum to xi_s(beta) [beta]_s.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .cartan import AffineData, Vec
 from .lattice import closure_positive_roots, is_long, project_bar
@@ -20,6 +22,14 @@ from .weyl import inversion_set_detailed
 
 class NotTwisted(ValueError):
     """Folding data requested for an untwisted type."""
+
+
+class BadAutomorphism(ValueError):
+    """The diagram automorphism of a twisted type breaks the parent GCM or its orbit count."""
+
+
+class FamilyMismatch(ValueError):
+    """One finite part of an inversion set arises from both A_{2n}^(2) root families."""
 
 
 class NotInInversionSet(ValueError):
@@ -50,13 +60,6 @@ class OrbitMap:
     def rep_of(self, s: int) -> int:
         """Smallest parent representative of the orbit behind twisted node s."""
         return self.orbits[s - 1][0]
-
-    def node_of(self, i: int) -> int:
-        """Twisted node carrying parent node i."""
-        for t, orb in enumerate(self.orbits, start=1):
-            if i in orb:
-                return t
-        raise IndexError(i)
 
 
 def _parent_gcm(family: str, N: int) -> list[list[int]]:
@@ -98,7 +101,8 @@ def sigma_for(data: AffineData) -> OrbitMap:
     # sigma must preserve the parent GCM and have order r
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            assert pgcm[sig[i]][sig[j]] == pgcm[i][j]
+            if pgcm[sig[i]][sig[j]] != pgcm[i][j]:
+                raise BadAutomorphism(f"sigma of {t} does not preserve the parent GCM at ({i}, {j})")
     seen = set()
     orbits = []
     for i in range(1, N + 1):
@@ -112,20 +116,16 @@ def sigma_for(data: AffineData) -> OrbitMap:
         seen.update(orb)
         orbits.append(tuple(sorted(orb)))
     orbits.sort(key=min)
-    assert len(orbits) == t.n
+    if len(orbits) != t.n:
+        raise BadAutomorphism(f"sigma of {t} has {len(orbits)} orbits, not n = {t.n}")
     return OrbitMap(twisted=data, sigma=tuple(sig), orbits=tuple(orbits),
                     parent_gcm=tuple(tuple(row) for row in pgcm))
 
 
-_PARENT_ROOTS: dict = {}
-
-
-def parent_positive_roots(om: OrbitMap) -> list[Vec]:
+@functools.cache
+def parent_positive_roots(om: OrbitMap) -> tuple[Vec, ...]:
     """Positive roots of the simply-laced parent, as (N+1)-tuples with slot 0 = 0."""
-    key = (om.twisted.type.family, om.parent_rank)
-    if key not in _PARENT_ROOTS:
-        _PARENT_ROOTS[key] = closure_positive_roots(om.parent_gcm, range(1, om.parent_rank + 1))
-    return _PARENT_ROOTS[key]
+    return tuple(closure_positive_roots(om.parent_gcm, range(1, om.parent_rank + 1)))
 
 
 def fold_root(om: OrbitMap, beta: Vec) -> Vec:
@@ -137,29 +137,25 @@ def fold_root(om: OrbitMap, beta: Vec) -> Vec:
     return tuple(out)
 
 
-_BAR_PARTS: dict = {}
-
-
-def bar_inversion_parts(data: AffineData, s: int) -> dict[Vec, tuple[int, int | None]]:
+@functools.cache
+def bar_inversion_parts(data: AffineData, s: int) -> MappingProxyType[Vec, tuple[int, int | None]]:
     """Finite parts of Delta_+(t_{-lambda_s}) with multiplicity and family tag.
 
     For A_{2n}^(2) the family (1 or 2) is carried alongside each finite part
     because the same part arises only from one family (families differ in norm).
     """
-    key = (data.type, s)
-    if key in _BAR_PARTS:
-        return _BAR_PARTS[key]
     parts: dict[Vec, tuple[int, int | None]] = {}
     for v, fam in inversion_set_detailed(data, s):
         bar = project_bar(data, v)
         if bar in parts:
             mult, tag = parts[bar]
-            assert tag == fam
+            if tag != fam:
+                raise FamilyMismatch(
+                    f"finite part {bar} of {data.type} s={s} arises from families {tag} and {fam}")
             parts[bar] = (mult + 1, tag)
         else:
             parts[bar] = (1, fam)
-    _BAR_PARTS[key] = parts
-    return parts
+    return MappingProxyType(parts)
 
 
 def _xi_value(data: AffineData, s: int, beta: Vec, family: int | None) -> Fraction:

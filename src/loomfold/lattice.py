@@ -10,6 +10,8 @@ the Weyl-group computations.
 
 from __future__ import annotations
 
+import functools
+
 from .cartan import AffineData, Vec, bilinear
 
 
@@ -63,14 +65,10 @@ def closure_positive_roots(gcm, nodes) -> list[Vec]:
     return sorted(v for v in roots if all(x >= 0 for x in v))
 
 
-_FINITE_ROOTS: dict = {}
-
-
-def finite_positive_roots(data: AffineData) -> list[Vec]:
+@functools.cache
+def finite_positive_roots(data: AffineData) -> tuple[Vec, ...]:
     """Positive roots of the underlying finite system (nodes 1..n), sorted."""
-    if data.type not in _FINITE_ROOTS:
-        _FINITE_ROOTS[data.type] = closure_positive_roots(data.gcm, range(1, data.rank))
-    return _FINITE_ROOTS[data.type]
+    return tuple(closure_positive_roots(data.gcm, range(1, data.rank)))
 
 
 def project_bar(data: AffineData, v: Vec) -> Vec:

@@ -22,6 +22,10 @@ class NotMinuscule(ValueError):
     """(type, s) is not one of the minuscule-node table rows."""
 
 
+class BadMinusculeWord(ValueError):
+    """The beta_k of a minuscule node leave the finite roots or do not end at theta."""
+
+
 def minuscule_nodes(data: AffineData) -> tuple[int, ...]:
     """Nodes s whose fundamental module is minuscule (empty for other types)."""
     t = data.type
@@ -59,8 +63,11 @@ def minuscule_case(data: AffineData, s: int) -> MinusculeCase:
     word, tau = alcove_factorize(data, translation_minus_lambda(data, s))
     betas = inversion_set_from_word(data, word)
     for b in betas:
-        assert b[0] == 0  # no delta component at a minuscule node
-    assert betas[-1] == data.theta
+        if b[0] != 0:  # no delta component at a minuscule node
+            raise BadMinusculeWord(f"beta {b} of {data.type} s={s} has a delta component")
+    if betas[-1] != data.theta:
+        raise BadMinusculeWord(
+            f"last beta {betas[-1]} of {data.type} s={s} is not theta {data.theta}")
     return MinusculeCase(data=data, s=s, word=word, tau=tau,
                          betas=tuple(betas), theta_index=len(betas))
 

@@ -17,6 +17,10 @@ class NonzeroCoefficient(ValueError):
     """A coefficient combination that must vanish identically did not."""
 
 
+class NonIntegerStep(ValueError):
+    """A Drinfeld index spacing a_i^v / a_i above 1 that is not an integer."""
+
+
 def drinfeld_step(data, i: int) -> int:
     """Index spacing of the loop generators at node i.
 
@@ -28,7 +32,8 @@ def drinfeld_step(data, i: int) -> int:
     step = Fraction(data.dual_kac[i], data.kac[i])
     if step <= 1:
         return 1
-    assert step.denominator == 1
+    if step.denominator != 1:
+        raise NonIntegerStep(f"a_{i}^v / a_{i} = {step} is not an integer in {data.type}")
     return int(step)
 
 

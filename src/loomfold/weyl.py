@@ -97,20 +97,6 @@ def _int_inverse(matrix: Matrix) -> list[list[int]]:
     return [[int(x) for x in row] for row in inv]
 
 
-def _left_reflect(gcm, i, m_rows) -> None:
-    # m_rows <- S_i @ m_rows: only row i changes
-    m = len(m_rows)
-    row = m_rows[i]
-    acc = [-x for x in row]
-    for l in range(m):
-        c = gcm[i][l]
-        if c and l != i:
-            rl = m_rows[l]
-            for j in range(m):
-                acc[j] -= c * rl[j]
-    m_rows[i] = acc
-
-
 def _right_reflect(gcm, i, m_rows) -> None:
     # m_rows <- m_rows @ S_i: column j -= a_ij * column i (j != i), column i negated
     m = len(m_rows)
@@ -133,7 +119,7 @@ def alcove_factorize(data: AffineData, elt: ExtWeylElt):
     """
     m = data.rank
     gcm = data.gcm
-    mat = [list(row) for row in elt.matrix]
+    # only elt^{-1} is tracked: letter i is a left descent exactly when elt^{-1}(alpha_i) < 0
     inv = _int_inverse(elt.matrix)
     word: list[int] = []
     while True:
@@ -146,15 +132,13 @@ def alcove_factorize(data: AffineData, elt: ExtWeylElt):
         if desc is None:
             break
         word.append(desc)
-        _left_reflect(gcm, desc, mat)
         _right_reflect(gcm, desc, inv)
-    tau: list[int] = [0] * m
-    for j in range(m):
-        col = [mat[k][j] for k in range(m)]
-        ones = [k for k in range(m) if col[k] == 1]
-        if len(ones) != 1 or sum(abs(x) for x in col) != 1:
+    # inv is now tau^{-1} = tau^T, so tau[j] is the column of the single 1 in row j
+    tau: list[int] = []
+    for row in inv:
+        if 1 not in row or sum(abs(x) for x in row) != 1:
             raise NotLengthZeroResidue("residue is not a simple-root permutation")
-        tau[j] = ones[0]
+        tau.append(row.index(1))
     return tuple(word), tuple(tau)
 
 

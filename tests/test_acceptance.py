@@ -64,6 +64,9 @@ def test_criterion_2_reduced_word_fixtures():
 
 def test_criterion_3_oracle_equivalence():
     t0 = time.monotonic()
+    # word-based inversion sets equal the closed-form sets, for every type
+    # with n <= 8 and every node; lengths and word endpoints come along, and
+    # inversion_set_from_word raises NotReduced on a repeated beta
     cells = list(oracle_cells())
     assert [c for c in cells if not c[2]] == []
     assert len(cells) == 271
@@ -73,6 +76,8 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_folding_exponent_identity():
     t0 = time.monotonic()
+    # verify_fold_identity raises unless lhs == rhs == multiplicity of each
+    # entry, so every xi * [beta]_s it accepts is a positive integer
     cells = list(fold_cells(inject_fault=False))
     assert [c for c in cells if not c[2]] == []
     # the E6~2 s=2 fiber over 2321 with sides 3 = 3

@@ -1,5 +1,6 @@
 """Character products, the series-level folding theorem, and series plumbing."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -23,7 +24,13 @@ from loomfold.characters import (
     product_from_exponents,
     series_equal,
 )
-from loomfold.folding import parent_char_exponents, sigma_for
+from loomfold.folding import (
+    bar_inversion_parts,
+    parent_char_exponents,
+    parent_positive_roots,
+    sigma_for,
+)
+from loomfold.lattice import finite_positive_roots
 from loomfold.verify import series_cells
 
 
@@ -242,3 +249,19 @@ def test_multiplicity_check_survives_optimize():
     assert proc.returncode == 0, proc.stderr
     assert "D3~2 s=2" in proc.stdout
     assert issubclass(MultiplicityMismatch, ValueError)
+
+
+def test_cached_results_are_immutable():
+    # per-type results are computed once per process and shared by every
+    # later caller, so a caller that could change one would corrupt the rest
+    d = build("D", 3, 2)
+    before = char_exponents(d, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        build_affine(d.type).sym = (0,) * d.rank
+    with pytest.raises(TypeError):
+        finite_positive_roots(d)[0] = (0, 0, 0)
+    with pytest.raises(TypeError):
+        parent_positive_roots(sigma_for(d))[0] = (0, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        bar_inversion_parts(d, 1).clear()
+    assert char_exponents(d, 1) == before != []

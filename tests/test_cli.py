@@ -156,13 +156,15 @@ def test_verify_all_fault_injection(capsys):
     ("fold-verify", "--type", "A5~2", "--node", "-1"),
     ("fold-verify", "--type", "A5~2", "--all", "--node", "9"),
     ("verify-all", "--degree", "-1"),
+    ("cartan", "--type", "A65~1"),
+    ("char", "--node", "1", "--type", "A999999999~1"),
 ])
 def test_out_of_range_node_or_degree(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert argv[-2].lstrip("-") in err  # names the bad node or degree
+    assert argv[-2].lstrip("-") in err  # names the bad node, degree or type
     assert "Traceback" not in err
 
 

@@ -47,7 +47,7 @@ def test_root_counts():
 def test_specific_root_sets():
     # underlying B_2 of D3~2
     d = build("D", 3, 2)
-    assert finite_positive_roots(d) == [(0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+    assert finite_positive_roots(d) == ((0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2))
     # underlying C_3 of A5~2 has a unique long root 2a1+2a2+a3
     d = build("A", 5, 2)
     pos = finite_positive_roots(d)
@@ -57,7 +57,7 @@ def test_specific_root_sets():
     assert longs == [(0, 0, 0, 1), (0, 0, 2, 1), (0, 2, 2, 1)]
     # A_1 subsystem
     d = build("A", 1, 1)
-    assert finite_positive_roots(d) == [(0, 1)]
+    assert finite_positive_roots(d) == ((0, 1),)
 
 
 def _is_finite_root(d, v):

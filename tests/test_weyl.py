@@ -16,7 +16,6 @@ from loomfold.weyl import (
     simple_reflection,
     translation_minus_lambda,
 )
-from loomfold.verify import oracle_cells
 
 
 def test_simple_reflection_basics():
@@ -213,15 +212,6 @@ def test_factorize_round_trip():
             # factorization is stable: re-factorizing returns the same word
             word2, tau2 = alcove_factorize(d, rebuilt)
             assert (word2, tau2) == (word, tau)
-
-
-def test_oracle_equivalence_sweep():
-    # word-based inversion sets equal the closed-form sets, for every type
-    # with n <= 8 and every node; lengths and word endpoints come along, and
-    # inversion_set_from_word raises NotReduced on a repeated beta
-    cells = list(oracle_cells())
-    assert [c for c in cells if not c[2]] == []
-    assert len(cells) == 271
 
 
 def test_betas_are_positive_real_roots():
