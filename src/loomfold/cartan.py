@@ -27,6 +27,10 @@ class DimensionMismatch(ValueError):
     """Vectors do not live over the same index set."""
 
 
+class IndexOutOfRange(ValueError):
+    """A node index outside the index set it must lie in."""
+
+
 @dataclass(frozen=True)
 class AffineType:
     """One row of the affine-type table: X_N^(r) with index set {0, ..., n}."""
@@ -71,6 +75,12 @@ class AffineData:
     @property
     def rank(self) -> int:
         return self.type.n + 1
+
+    def check_node(self, s: int, first: int = 1) -> int:
+        """s, checked to be one of the nodes first..n (1..n by default; 0 is the affine node)."""
+        if not first <= s <= self.n:
+            raise IndexOutOfRange(f"node {s} is not in {first}..{self.n} for {self.type}")
+        return s
 
 
 # Edge kinds: 1 = single bond; k in {2, 3, 4} = k-fold bond with the arrow

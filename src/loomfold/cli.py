@@ -27,19 +27,22 @@ class UnknownType(ValueError):
 
 
 class OutOfRange(ValueError):
-    """A --node, --degree or rank N value outside its range."""
+    """A --degree or rank N value outside its range."""
+
+
+class UsageError(ValueError):
+    """A command line that argparse cannot parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # raise, so that main() prints one "error:" line, not argparse's usage text
+    def error(self, message):
+        raise UsageError(message)
 
 
 # affine_type builds an N-long diagram and the Cartan build is O(N^3) exact
 # elimination, so the CLI caps N before calling either
 MAX_RANK = 64
-
-
-def _node(d: AffineData, s: int) -> int:
-    """s, checked to be one of the nodes 1..n of d (0 is the affine node)."""
-    if not 1 <= s <= d.n:
-        raise OutOfRange(f"node {s} is not in 1..{d.n} for {d.type}")
-    return s
 
 
 def _degree(k: int) -> int:
@@ -99,7 +102,7 @@ def cmd_cartan(args) -> int:
 
 def cmd_inversions(args) -> int:
     d = _data(args)
-    s = _node(d, args.node)
+    s = d.check_node(args.node)
     out: dict = {"type": str(d.type), "node": s, "method": args.method}
     closed = weyl.inversion_set_closed_form(d, s)
     word, tau = weyl.alcove_factorize(d, weyl.translation_minus_lambda(d, s))
@@ -124,7 +127,7 @@ def cmd_fold_verify(args) -> int:
     d = _data(args)
     if d.type.r == 1:
         raise UnknownType(f"{d.type} is untwisted; fold-verify needs a twisted type")
-    node = None if args.node is None else _node(d, args.node)
+    node = None if args.node is None else d.check_node(args.node)
     nodes = range(1, d.n + 1) if args.all or node is None else [node]
     cells = []
     code = 0
@@ -144,7 +147,7 @@ def cmd_fold_verify(args) -> int:
 
 def cmd_char(args) -> int:
     d = _data(args)
-    s, degree = _node(d, args.node), _degree(args.degree)
+    s, degree = d.check_node(args.node), _degree(args.degree)
     ser = characters.char_product(d, s, degree)
     out: dict = {
         "type": str(d.type), "node": s, "degree": degree,
@@ -170,7 +173,7 @@ def cmd_char(args) -> int:
 
 def cmd_pbw_graph(args) -> int:
     d = _data(args)
-    case = pbw.minuscule_case(d, _node(d, args.node))
+    case = pbw.minuscule_case(d, d.check_node(args.node))
     g = pbw.eprime_graph(case)
     if args.format == "dot":
         print(pbw.graph_to_dot(g))
@@ -211,19 +214,14 @@ def cmd_eta(args) -> int:
 
 
 def cmd_serre_check(args) -> int:
+    cases = [(case, {"case": case}) for case in ("i1j0_D", "i0j1_D")]
+    cases += [(f"generic(a_ij={a_ij},d_i={d_i})", {"case": "generic", "a_ij": a_ij, "d_i": d_i})
+              for a_ij, d_i in ((0, 1), (-1, 1), (-1, 2), (-2, 1), (-3, 1))]
     out: dict = {"cases": {}}
     code = 0
-    for case in ("i1j0_D", "i0j1_D"):
+    for name, kwargs in cases:
         try:
-            coeffs = qsymbolic.serre_coeff_check(case)
-            out["cases"][case] = {"coefficients": [p.json_map() for p in coeffs], "ok": True}
-        except qsymbolic.NonzeroCoefficient as exc:
-            out["cases"][case] = {"ok": False, "error": str(exc)}
-            code = 1
-    for a_ij, d_i in ((0, 1), (-1, 1), (-1, 2), (-2, 1), (-3, 1)):
-        name = f"generic(a_ij={a_ij},d_i={d_i})"
-        try:
-            coeffs = qsymbolic.serre_coeff_check("generic", a_ij=a_ij, d_i=d_i)
+            coeffs = qsymbolic.serre_coeff_check(**kwargs)
             out["cases"][name] = {"coefficients": [p.json_map() for p in coeffs], "ok": True}
         except qsymbolic.NonzeroCoefficient as exc:
             out["cases"][name] = {"ok": False, "error": str(exc)}
@@ -249,7 +247,7 @@ def cmd_verify_all(args) -> int:
 
 
 def main(argv=None) -> int:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="loomfold",
         description="Exact affine root-system data, folding, and character identities. "
                     "Types are written FAMILY N ~ r, e.g. A5~2, D4~1, E6~2, "
@@ -300,8 +298,8 @@ def main(argv=None) -> int:
                    help="test-only: flip one xi value and expect a failure")
     p.set_defaults(func=cmd_verify_all)
 
-    args = top.parse_args(argv)
     try:
+        args = top.parse_args(argv)
         return args.func(args)
     except (folding.IdentityViolation, qsymbolic.NonzeroCoefficient, weyl.NotReduced) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

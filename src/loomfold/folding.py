@@ -59,7 +59,7 @@ class OrbitMap:
 
     def rep_of(self, s: int) -> int:
         """Smallest parent representative of the orbit behind twisted node s."""
-        return self.orbits[s - 1][0]
+        return self.orbits[self.twisted.check_node(s) - 1][0]
 
 
 def _parent_gcm(family: str, N: int) -> list[list[int]]:
@@ -199,8 +199,9 @@ def verify_fold_identity(data: AffineData, s: int, xi_fault: bool = False,
     IdentityViolation on the first failing root.
     """
     om = sigma_for(data)
-    sp = om.rep_of(s) if parent_node is None else parent_node
-    if sp not in om.orbits[s - 1]:
+    orbit = om.orbits[data.check_node(s) - 1]
+    sp = orbit[0] if parent_node is None else parent_node
+    if sp not in orbit:
         raise NotInInversionSet(f"parent node {sp} is not in the orbit of twisted node {s}")
     parent_parts = [b for b in parent_positive_roots(om) if b[sp] > 0]
     fibers: dict[Vec, list[Vec]] = {}

@@ -12,11 +12,7 @@ from __future__ import annotations
 
 import functools
 
-from .cartan import AffineData, Vec, bilinear
-
-
-class IndexOutOfRange(IndexError):
-    """Node index outside the vector's index set."""
+from .cartan import AffineData, IndexOutOfRange, Vec, bilinear
 
 
 def coeff(v: Vec, s: int) -> int:

@@ -1,100 +1,96 @@
 """Extended affine Weyl group elements as exact integer matrices.
 
-An element is stored as its matrix on affine root-lattice coordinates,
-never as an abstract word: sign tests w^{-1}(alpha_i) < 0 become
-coordinate checks, and length-0 detection is "is a simple-root
-permutation matrix".  The translation t_{-lambda_s} is built from the
-pairing rule (lambda_s, alpha) = [alpha]_s (untwisted and A_{2n}^(2))
-or d_s [alpha]_s (other twisted types); lambda_s itself is never
-materialized.
+An element is stored as its matrix on affine root-lattice coordinates
+together with its inverse, which every constructor writes in closed form,
+so the layer is integer-only.  Sign tests w^{-1}(alpha_i) < 0 become
+coordinate checks, and length-0 detection is "is a simple-root permutation
+matrix".  The pairing (lambda_s, alpha) is [alpha]_s (untwisted and
+A_{2n}^(2)) or d_s [alpha]_s (other twisted types); lambda_s itself is
+never materialized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cartan import AffineData, Matrix, Vec, _rref
+from .cartan import AffineData, Matrix, Vec
 from .lattice import finite_positive_roots, is_negative, root_norm
 
 
 class NotLengthZeroResidue(ValueError):
-    """Factorization residue is not a simple-root permutation matrix."""
+    """Not an extended-Weyl element: wrong inverse, delta moved, or residue not a permutation."""
 
 
 class NotReduced(ValueError):
     """A word whose beta_k sequence leaves the positive roots or repeats."""
 
 
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    m = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m))
+                 for i in range(m))
+
+
 @dataclass(frozen=True)
 class ExtWeylElt:
-    """Exact matrix action on affine root-lattice coordinates."""
+    """Exact matrix action on affine root-lattice coordinates; matrix . inverse = I."""
 
     matrix: Matrix
+    inverse: Matrix
+
+    def __post_init__(self):
+        a, b = self.matrix, self.inverse
+        m = len(a)
+        # entry by entry: the check builds no product or identity matrix
+        for i, row in enumerate(a):
+            nonzero = [(k, x) for k, x in enumerate(row) if x]
+            for j in range(m):
+                if sum(x * b[k][j] for k, x in nonzero) != (i == j):
+                    raise NotLengthZeroResidue("inverse is not the integer inverse of the matrix")
 
     def apply(self, v: Vec) -> Vec:
         m = self.matrix
         return tuple(sum(m[i][j] * v[j] for j in range(len(v)) if v[j]) for i in range(len(v)))
 
     def compose(self, other: "ExtWeylElt") -> "ExtWeylElt":
-        a, b = self.matrix, other.matrix
-        m = len(a)
-        return ExtWeylElt(tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m))
-            for i in range(m)))
+        return ExtWeylElt(_matmul(self.matrix, other.matrix),
+                          _matmul(other.inverse, self.inverse))
 
 
 def simple_reflection(data: AffineData, i: int) -> ExtWeylElt:
-    """The reflection s_i: alpha_j -> alpha_j - a_ij alpha_i."""
+    """The reflection s_i: alpha_j -> alpha_j - a_ij alpha_i; its own inverse."""
     m = data.rank
-    if not 0 <= i < m:
-        from .lattice import IndexOutOfRange
-        raise IndexOutOfRange(f"node {i} not in 0..{m - 1}")
-    rows = [[int(k == j) for j in range(m)] for k in range(m)]
-    for j in range(m):
-        rows[i][j] -= data.gcm[i][j]
-    return ExtWeylElt(tuple(tuple(r) for r in rows))
+    data.check_node(i, 0)
+    mat = tuple(tuple(int(k == j) - (k == i) * data.gcm[i][j] for j in range(m)) for k in range(m))
+    return ExtWeylElt(mat, mat)
 
 
-def pairing_rule(data: AffineData) -> str:
-    """How lambda_s pairs with roots: "coeff" gives (lambda_s, alpha) = [alpha]_s
-    (untwisted and A_{2n}^(2)), "d_s_times_coeff" gives d_s [alpha]_s."""
-    if data.type.is_untwisted or data.type.is_a2n2:
-        return "coeff"
-    return "d_s_times_coeff"
+def _scale(data: AffineData, s: int) -> int:
+    """p in (lambda_s, alpha) = p [alpha]_s: 1 for untwisted and A_{2n}^(2), d_s otherwise."""
+    return 1 if data.type.is_untwisted or data.type.is_a2n2 else data.sym[s]
 
 
 def lambda_pairing(data: AffineData, s: int, v: Vec) -> int:
-    """(lambda_s, bar v) via the pairing rule; integer on the root lattice."""
-    p = 1 if pairing_rule(data) == "coeff" else data.sym[s]
+    """(lambda_s, bar v); integer on the root lattice."""
+    data.check_node(s)
     # bar(alpha_0) = -theta (a_0 = 1), so the alpha_0-coordinate contributes -p*[theta]_s
-    return p * (v[s] - v[0] * data.theta[s])
+    return _scale(data, s) * (v[s] - v[0] * data.theta[s])
 
 
 def translation_minus_lambda(data: AffineData, s: int) -> ExtWeylElt:
-    """t_{-lambda_s}: acts on the root lattice by alpha -> alpha + (lambda_s, bar alpha) delta."""
+    """t_{-lambda_s}: alpha -> alpha + (lambda_s, bar alpha) delta; lambda_pairing checks s.
+
+    Matrix I + delta c^T and inverse t_{lambda_s} = I - delta c^T, with
+    c_j = (lambda_s, bar alpha_j); c^T delta = (lambda_s, bar delta) = 0.
+    """
     m = data.rank
-    rows = [[int(k == j) for j in range(m)] for k in range(m)]
-    for j in range(m):
-        ej = tuple(int(t == j) for t in range(m))
-        c = lambda_pairing(data, s, ej)
-        if c:
-            for k in range(m):
-                rows[k][j] += c * data.delta[k]
-    return ExtWeylElt(tuple(tuple(r) for r in rows))
+    c = [lambda_pairing(data, s, tuple(int(t == j) for t in range(m))) for j in range(m)]
 
+    def shift(sign: int) -> Matrix:
+        return tuple(tuple(int(k == j) + sign * data.delta[k] * c[j] for j in range(m))
+                     for k in range(m))
 
-def _int_inverse(matrix: Matrix) -> list[list[int]]:
-    """Exact inverse; lattice automorphisms have integer inverses."""
-    m = len(matrix)
-    rows, pivots = _rref([list(row) + [int(i == j) for j in range(m)]
-                          for i, row in enumerate(matrix)])
-    if pivots[:m] != list(range(m)):
-        raise NotLengthZeroResidue("matrix is singular")
-    inv = [row[m:] for row in rows]
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise NotLengthZeroResidue("matrix is not a root-lattice automorphism")
-    return [[int(x) for x in row] for row in inv]
+    return ExtWeylElt(shift(1), shift(-1))
 
 
 def _right_reflect(gcm, i, m_rows) -> None:
@@ -114,13 +110,16 @@ def alcove_factorize(data: AffineData, elt: ExtWeylElt):
     """Greedy smallest-index descent: elt = s_{i_1} ... s_{i_l} tau.
 
     Returns (word, tau) with tau a permutation of simple-root indices.
-    Raises NotLengthZeroResidue when the residue is not a permutation
-    matrix (the input was not an extended-Weyl element).
+    Raises NotLengthZeroResidue when elt moves delta or the residue is not
+    a permutation matrix (the input was not an extended-Weyl element).
     """
     m = data.rank
     gcm = data.gcm
+    # every extended-Weyl element fixes delta; without this check -I would descend forever
+    if elt.apply(data.delta) != data.delta:
+        raise NotLengthZeroResidue("element does not fix delta")
     # only elt^{-1} is tracked: letter i is a left descent exactly when elt^{-1}(alpha_i) < 0
-    inv = _int_inverse(elt.matrix)
+    inv = [list(row) for row in elt.inverse]
     word: list[int] = []
     while True:
         desc = None
@@ -153,6 +152,7 @@ def inversion_set_from_word(data: AffineData, word) -> list[Vec]:
     betas: list[Vec] = []
     seen = set()
     for ik in word:
+        data.check_node(ik, 0)
         beta = tuple(acc[k][ik] for k in range(m))
         if not all(x >= 0 for x in beta) or beta in seen:
             raise NotReduced(f"word {tuple(word)} is not reduced at beta = {beta}")
@@ -169,6 +169,7 @@ def inversion_set_detailed(data: AffineData, s: int):
     None otherwise.  All returned vectors are positive affine roots.
     """
     m = data.rank
+    data.check_node(s)
     delta = data.delta
     pos = finite_positive_roots(data)
     out = []
@@ -181,14 +182,11 @@ def inversion_set_detailed(data: AffineData, s: int):
                     out.append((tuple(2 * al[i] + (2 * k + 1) * delta[i] for i in range(m)), 2))
     else:
         r = data.type.r
-        p = 1 if data.type.is_untwisted else data.sym[s]
+        p = _scale(data, s)
         for al in pos:
             gam = 1 if r == 1 else (r if root_norm(data, al) == 2 * r else 1)
-            bound = Fraction(p * al[s], gam)
-            k = 0
-            while k < bound:
+            for k in range(-(-p * al[s] // gam)):  # k < p [alpha]_s / gamma
                 out.append((tuple(al[i] + k * gam * delta[i] for i in range(m)), None))
-                k += 1
     return out
 
 
@@ -203,15 +201,11 @@ def length_delta(data: AffineData, s: int, k: int, side: str) -> int:
     Computed by the sign test on t^{±1}(alpha_k), not by re-enumeration.
     """
     t = translation_minus_lambda(data, s)
-    ek = tuple(int(i == k) for i in range(data.rank))
-    if side == "left":
-        c = lambda_pairing(data, s, ek)
-        image = tuple(ek[i] - c * data.delta[i] for i in range(data.rank))  # t^{-1}(alpha_k)
-    elif side == "right":
-        image = t.apply(ek)
-    else:
+    data.check_node(k, 0)
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    return -1 if is_negative(image) else 1
+    mat = t.inverse if side == "left" else t.matrix
+    return -1 if is_negative(tuple(row[k] for row in mat)) else 1
 
 
 def braid2_canonical(data: AffineData, word) -> tuple[int, ...]:

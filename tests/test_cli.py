@@ -1,13 +1,18 @@
 """CLI surface: type parsing, JSON determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loomfold
+from loomfold.cartan import all_affine_types
 from loomfold.cli import ParseError, UnknownType, main, parse_type
 
 
@@ -185,3 +190,60 @@ def test_eta_check_survives_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "FAIL qsymbolic" in proc.stdout
+
+
+# valid ranks stay small so the property runs in seconds; the ranks above the
+# cap are rejected before any build
+TYPE_TEXTS = st.one_of(
+    st.sampled_from([str(t) for t in all_affine_types(10) if t.N <= 10]),
+    st.builds("{}{}~{}".format, st.sampled_from("ABCDEFG"),
+              st.one_of(st.integers(1, 10), st.sampled_from((65, 999999999))),
+              st.integers(0, 4)),
+    st.text(alphabet="ADX019~-", max_size=6))
+
+COMMAND_EXTRAS = {
+    "cartan": [[]],
+    "inversions": [["--method", m] for m in ("word", "closed", "both")],
+    "fold-verify": [[], ["--all"]],
+    "char": [[], ["--fold-check"]],
+    "pbw-graph": [["--format", f] for f in ("dot", "json")],
+    "eta": [["--o", o] for o in ("1", "-1")],
+}
+
+
+@st.composite
+def cli_queries(draw):
+    """(argv, node) for one well-formed command line; node is None when absent."""
+    command = draw(st.sampled_from(sorted(COMMAND_EXTRAS)))
+    argv = [command, "--type", draw(TYPE_TEXTS)]
+    node = None
+    if command in ("inversions", "char", "pbw-graph") or (
+            command == "fold-verify" and draw(st.booleans())):
+        node = draw(st.one_of(st.integers(1, 4), st.integers(-2, 12)))
+        argv += ["--node", str(node)]
+    if command == "char":
+        argv += ["--degree", str(draw(st.integers(-2, 6)))]
+    argv += draw(st.sampled_from(COMMAND_EXTRAS[command]))
+    return argv, node
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(cli_queries())
+def test_main_exit_contract(query):
+    argv, node = query
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    if node is not None:
+        try:
+            n = parse_type(argv[2]).n
+        except ValueError:
+            n = 0
+        if not 1 <= node <= n:
+            assert code != 0

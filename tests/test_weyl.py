@@ -1,8 +1,14 @@
 """Translations, alcove factorization, and the two inversion-set routes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import loomfold
 from loomfold.cartan import build
+from loomfold.folding import sigma_for, verify_fold_identity
 from loomfold.lattice import finite_positive_roots, root_norm
 from loomfold.weyl import (
     ExtWeylElt,
@@ -11,7 +17,9 @@ from loomfold.weyl import (
     alcove_factorize,
     braid2_canonical,
     inversion_set_closed_form,
+    inversion_set_detailed,
     inversion_set_from_word,
+    lambda_pairing,
     length_delta,
     simple_reflection,
     translation_minus_lambda,
@@ -34,13 +42,15 @@ def test_simple_reflection_basics():
 
 
 def test_pairing_rule():
-    from loomfold.weyl import lambda_pairing, pairing_rule
-    assert pairing_rule(build("A", 3, 1)) == "coeff"
-    assert pairing_rule(build("A", 4, 2)) == "coeff"
-    assert pairing_rule(build("A", 5, 2)) == "d_s_times_coeff"
-    assert pairing_rule(build("D", 4, 3)) == "d_s_times_coeff"
-    d = build("A", 5, 2)  # d_3 = 2 at the long node
-    assert lambda_pairing(d, 3, (0, 0, 0, 1)) == 2
+    # each rule pinned at a node with d_s != 1: coefficient only for untwisted
+    # and A_{2n}^(2), d_s times the coefficient for the other twisted types
+    for key, s, expect in ((("A", 4, 2), 1, 1), (("B", 3, 1), 1, 1),
+                           (("D", 4, 3), 2, 3), (("A", 5, 2), 3, 2)):
+        d = build(*key)
+        assert d.sym[s] != 1
+        e_s = tuple(int(j == s) for j in range(d.rank))
+        assert lambda_pairing(d, s, e_s) == expect, key
+    d = build("A", 5, 2)
     assert lambda_pairing(d, 1, (0, 1, 0, 0)) == 1
     assert lambda_pairing(d, 1, d.delta) == 0
 
@@ -168,7 +178,6 @@ def _real_roots_window(d, max_delta):
 def test_inversion_set_against_definition():
     # third route: positive real roots beta with t^{-1}(beta) negative,
     # enumerated inside a delta-window that contains every closed-form root
-    from loomfold.weyl import lambda_pairing
     for key in (("A", 2, 2), ("A", 4, 2), ("A", 5, 2), ("D", 3, 2), ("D", 4, 2),
                 ("E", 6, 2), ("D", 4, 3), ("A", 3, 1), ("B", 3, 1), ("C", 3, 1),
                 ("G", 2, 1), ("F", 4, 1)):
@@ -205,8 +214,8 @@ def test_factorize_round_trip():
             for i in word:
                 m = simple_reflection(d, i)
                 rebuilt = m if rebuilt is None else rebuilt.compose(m)
-            perm = ExtWeylElt(tuple(
-                tuple(int(r == tau[c]) for c in range(d.rank)) for r in range(d.rank)))
+            rows = tuple(tuple(int(r == tau[c]) for c in range(d.rank)) for r in range(d.rank))
+            perm = ExtWeylElt(rows, tuple(zip(*rows)))  # a permutation's inverse is its transpose
             rebuilt = perm if rebuilt is None else rebuilt.compose(perm)
             assert rebuilt.matrix == elt.matrix
             # factorization is stable: re-factorizing returns the same word
@@ -259,14 +268,50 @@ def test_not_reduced():
 
 
 def test_not_length_zero_residue():
-    d = build("A", 2, 1)
-    # doubling the lattice is not an extended-Weyl action
-    bad = ExtWeylElt(tuple(tuple(2 * int(i == j) for j in range(3)) for i in range(3)))
-    with pytest.raises(NotLengthZeroResidue, match="not a root-lattice automorphism"):
-        alcove_factorize(d, bad)
-    singular = ExtWeylElt(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
-    with pytest.raises(NotLengthZeroResidue, match="matrix is singular"):
-        alcove_factorize(d, singular)
+    eye = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    # doubling the lattice is not an extended-Weyl action: no integer inverse
+    double = tuple(tuple(2 * x for x in row) for row in eye)
+    with pytest.raises(NotLengthZeroResidue, match="not the integer inverse"):
+        ExtWeylElt(double, eye)
+    singular = ((1, 0, 0), (0, 1, 0), (1, 1, 0))
+    with pytest.raises(NotLengthZeroResidue, match="not the integer inverse"):
+        ExtWeylElt(singular, eye)
+    # -I is invertible but moves delta; the descent on it never ended, hence
+    # the subprocess and its timeout
+    script = (
+        "from loomfold.cartan import build\n"
+        "from loomfold.weyl import ExtWeylElt, NotLengthZeroResidue, alcove_factorize\n"
+        "neg = tuple(tuple(-int(i == j) for j in range(3)) for i in range(3))\n"
+        "try:\n"
+        "    alcove_factorize(build('A', 2, 1), ExtWeylElt(neg, neg))\n"
+        "except NotLengthZeroResidue as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(loomfold.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "does not fix delta" in proc.stdout
+
+
+NODE_CALLS = {
+    "translation s=0": lambda d: translation_minus_lambda(d, 0),
+    "translation s=n+1": lambda d: translation_minus_lambda(d, 4),
+    "closed form s=-1": lambda d: inversion_set_detailed(d, -1),
+    "pairing s=-1": lambda d: lambda_pairing(d, -1, d.delta),
+    "length_delta k=-1": lambda d: length_delta(d, 1, -1, "left"),
+    "length_delta k=n+1": lambda d: length_delta(d, 1, 4, "right"),
+    "word letter -1": lambda d: inversion_set_from_word(d, (1, -1)),
+    "rep_of s=0": lambda d: sigma_for(d).rep_of(0),
+    "fold identity s=-1": lambda d: verify_fold_identity(d, -1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NODE_CALLS))
+def test_library_rejects_out_of_range_node(call):
+    # A5~2 has nodes 0..3; a negative node used to alias a real one as a Python index
+    with pytest.raises(ValueError, match=r"node -?\d+ is not in [01]\.\.3 for A5~2"):
+        NODE_CALLS[call](build("A", 5, 2))
 
 
 def test_elements_map_real_roots_to_real_roots():
