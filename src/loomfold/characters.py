@@ -3,18 +3,27 @@
 A series is a map from exponent vectors m (the monomial e^{-sum m_i alpha_i})
 to integer coefficients, truncated at plain height sum(m_i) <= degree.
 Coefficients are Python ints, so arbitrary precision; no floating point
-enters this module.  The product kernel keeps one term dict per height
-0..degree and applies each factor (1 - e^{-beta})^{-e} as e in-place
-divisions by (1 - e^{-beta}): walking the heights upwards, every c[m] is
-added into c[m + beta].  A factor taller than the truncation only
+enters this module.
+
+Storage: a monomial m of height <= D is packed into the integer key
+sum_i m_i (D+1)^i over all slots i = 0..n, and a series holds one dict
+key -> coefficient per height 0..D.  No coordinate exceeds D, so the
+digits never carry: multiplying two monomials adds their keys, and the
+height of a key is the index of its bucket.  The product, the fold and
+the comparison work on keys; `CharSeries.terms` is a read-only view keyed
+by exponent tuples, which unpacks only when it is read.
+
+The product kernel applies each factor (1 - e^{-beta})^{-e} as e in-place
+divisions by (1 - e^{-beta}): walking the heights upwards, every c[k] is
+added into c[k + key(beta)].  A factor taller than the truncation only
 contributes its constant term 1 and is skipped.  Each division is exact
 and the divisions commute, so the product does not depend on factor order.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from operator import add
 
 from .cartan import AffineData, Vec
 from .folding import OrbitMap, _xi_value, bar_inversion_parts
@@ -25,7 +34,7 @@ class NonIntegerExponent(ValueError):
 
 
 class RankMismatch(ValueError):
-    """Series over different index sets compared."""
+    """Series or roots over different index sets combined."""
 
 
 class NegativeDegree(ValueError):
@@ -33,50 +42,131 @@ class NegativeDegree(ValueError):
 
 
 class NotPositiveRoot(ValueError):
-    """A product factor (1 - e^{-beta})^{-e} with beta of height < 1."""
+    """A product factor (1 - e^{-beta})^{-e} with beta of height < 1 or a negative coordinate."""
 
 
 class MultiplicityMismatch(ValueError):
     """A product-formula exponent differs from its delta-shift multiplicity."""
 
 
+def _pack(m, base: int) -> int:
+    k = 0
+    for x in reversed(m):
+        k = k * base + x
+    return k
+
+
+def _unpack(keys, base: int, size: int):
+    """Exponent tuples of packed keys, one digit column at a time."""
+    cols = []
+    for _ in range(size):
+        cols.append([k % base for k in keys])
+        keys = [k // base for k in keys]
+    return zip(*cols)
+
+
 @dataclass(frozen=True)
 class CharSeries:
     rank: int                 # finite rank n; exponent tuples have length n+1, slot 0 = 0
     degree: int               # total-height truncation bound
-    terms: dict               # exponent tuple -> int coefficient
+    buckets: tuple[dict[int, int], ...]   # height 0..degree -> {packed monomial: coefficient}
+
+    @classmethod
+    def from_terms(cls, rank: int, degree: int, terms) -> CharSeries:
+        """The series with the given {exponent tuple: coefficient} terms."""
+        series = cls(rank=rank, degree=degree, buckets=tuple({} for _ in range(degree + 1)))
+        for m, c in terms.items():
+            k = series._key(m)
+            if k is None:
+                raise ValueError(f"{m} is not a monomial of height <= {degree} in {rank + 1} slots")
+            series.buckets[sum(m)][k] = c
+        return series
+
+    def _key(self, m) -> int | None:
+        """The packed key of m, or None when m is no monomial of this series."""
+        if len(m) != self.rank + 1 or min(m) < 0 or sum(m) > self.degree:
+            return None
+        return _pack(m, self.degree + 1)
+
+    @property
+    def terms(self) -> Mapping[Vec, int]:
+        return _Terms(self)
+
+    def height_terms(self, h: int) -> dict[Vec, int]:
+        """The terms of height h, keyed by exponent tuples."""
+        bucket = self.buckets[h]
+        return dict(zip(_unpack(bucket, self.degree + 1, self.rank + 1), bucket.values()))
 
     def coefficient(self, m: Vec) -> int:
-        return self.terms.get(tuple(m), 0)
+        k = self._key(m)
+        return 0 if k is None else self.buckets[sum(m)].get(k, 0)
+
+
+class _Terms(Mapping):
+    """Read-only {exponent tuple: coefficient} view of a CharSeries."""
+
+    def __init__(self, series: CharSeries):
+        self._series = series
+
+    def __len__(self):
+        return sum(map(len, self._series.buckets))
+
+    def __getitem__(self, m):
+        s = self._series
+        k = s._key(m) if isinstance(m, tuple) else None
+        if k is not None and k in (bucket := s.buckets[sum(m)]):
+            return bucket[k]
+        raise KeyError(m)
+
+    def __iter__(self):
+        for m, _ in self.items():
+            yield m
+
+    def items(self):
+        return _TermItems(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        s = self._mapping._series
+        for h in range(s.degree + 1):
+            yield from s.height_terms(h).items()
 
 
 def one(rank: int, degree: int) -> CharSeries:
-    return CharSeries(rank=rank, degree=degree, terms={tuple([0] * (rank + 1)): 1})
+    return CharSeries.from_terms(rank, degree, {tuple([0] * (rank + 1)): 1})
 
 
 def product_from_exponents(exponents, rank: int, degree: int) -> CharSeries:
     """Expand prod (1 - e^{-beta})^{-e} over (beta, e) pairs to the given height."""
     if degree < 0:
         raise NegativeDegree(f"truncation degree {degree} < 0")
-    by_height: list[dict] = [{} for _ in range(degree + 1)]
-    by_height[0][tuple([0] * (rank + 1))] = 1
+    base = degree + 1
+    buckets = tuple({} for _ in range(base))
+    buckets[0][0] = 1
     for beta, e in exponents:
         if e < 0:
             raise NonIntegerExponent(f"negative exponent {e} at {beta}")
         hb = sum(beta)
         if e == 0 or hb > degree:
             continue
-        if hb < 1:
-            raise NotPositiveRoot(f"factor root {beta} has height {hb}")
+        # a negative digit would borrow from its neighbour and alias another monomial
+        if hb < 1 or min(beta) < 0:
+            raise NotPositiveRoot(f"factor root {beta} has height {hb} or a negative coordinate")
+        if len(beta) != rank + 1:
+            raise RankMismatch(f"factor root {beta} has {len(beta)} slots, not {rank + 1}")
+        kb = _pack(beta, base)
         for _ in range(e):
-            # divide by (1 - x^beta): ascending heights, so c[m] is final when read
-            for h in range(degree - hb + 1):
-                dst = by_height[h + hb]
-                for m, c in by_height[h].items():
-                    mm = tuple(map(add, m, beta))
-                    dst[mm] = dst.get(mm, 0) + c
-    terms = {m: c for bucket in by_height for m, c in bucket.items()}
-    return CharSeries(rank=rank, degree=degree, terms=terms)
+            # divide by (1 - x^beta): ascending heights, so c[k] is final when read
+            for h in range(base - hb):
+                dst = buckets[h + hb]
+                for k, c in buckets[h].items():
+                    k += kb
+                    dst[k] = dst.get(k, 0) + c
+    return CharSeries(rank=rank, degree=degree, buckets=buckets)
 
 
 def char_exponents(data: AffineData, s: int) -> list[tuple[Vec, int]]:
@@ -108,28 +198,36 @@ def char_product(data: AffineData, s: int, degree: int) -> CharSeries:
 
 
 def fold_series(series: CharSeries, om: OrbitMap, degree: int) -> CharSeries:
-    """Apply pi: e^{-alpha_i} -> e^{-alpha_{bar i}} by orbit-summing exponents."""
+    """Apply pi: e^{-alpha_i} -> e^{-alpha_{bar i}} by orbit-summing exponents.
+
+    Folding keeps the height, so the cut at `degree` takes buckets
+    0..degree.  Each key is split into pairs of input digits, and one table
+    per pair gives that pair's folded contribution in the output base.
+    """
+    if series.rank != om.parent_rank:
+        raise RankMismatch(f"series of rank {series.rank} folded by a rank-{om.parent_rank} orbit map")
     if series.degree < degree:
         raise RankMismatch(f"series truncated at {series.degree} < requested {degree}")
-    n = om.twisted.n
     node = [0] * (om.parent_rank + 1)     # parent slot -> twisted node; slot 0 stays 0
     for t, orb in enumerate(om.orbits, start=1):
         for i in orb:
             node[i] = t
-    cut = series.degree > degree
-    out: dict = {}
-    for m, c in series.terms.items():
-        if cut and sum(m) > degree:
-            continue
-        fm = [0] * (n + 1)
-        for t, x in zip(node, m):
-            fm[t] += x
-        fm = tuple(fm)
-        if fm in out:
-            out[fm] += c
-        else:
-            out[fm] = c
-    return CharSeries(rank=n, degree=degree, terms=out)
+    bi, bo = series.degree + 1, degree + 1
+    weights = [bo ** t for t in node] + [0]
+    tables = [[a * w0 + b * w1 for b in range(bi) for a in range(bi)]
+              for w0, w1 in zip(weights[0::2], weights[1::2])]
+    bi2 = bi * bi
+    out = []
+    for bucket in series.buckets[:bo]:
+        fb: dict = {}
+        for k, c in bucket.items():
+            f = 0
+            for t in tables:
+                k, r = divmod(k, bi2)
+                f += t[r]
+            fb[f] = fb.get(f, 0) + c
+        out.append(fb)
+    return CharSeries(rank=om.twisted.n, degree=degree, buckets=tuple(out))
 
 
 @dataclass(frozen=True)
@@ -144,15 +242,14 @@ def series_equal(a: CharSeries, b: CharSeries, degree: int) -> EqualityReport:
         raise RankMismatch(f"rank {a.rank} vs {b.rank}")
     if a.degree < degree or b.degree < degree:
         raise RankMismatch("series not truncated deep enough for the comparison")
-    # a series truncated at this degree is taken as is; the loop skips taller terms
-    ta, tb = (x.terms if x.degree == degree else
-              {m: c for m, c in x.terms.items() if sum(m) <= degree} for x in (a, b))
-    worst = None
-    if ta != tb:
-        # the first divergence by (height, monomial); a stored 0 counts as absent
-        for m in sorted(ta.keys() | tb.keys(), key=lambda m: (sum(m), m)):
+    # keys compare directly when both series pack in the same base
+    if a.degree == b.degree and a.buckets[:degree + 1] == b.buckets[:degree + 1]:
+        return EqualityReport(equal=True, witness=None)
+    # the first divergence by (height, monomial); a stored 0 counts as absent
+    for h in range(degree + 1):
+        ta, tb = a.height_terms(h), b.height_terms(h)
+        for m in sorted(ta.keys() | tb.keys()):
             ca, cb = ta.get(m, 0), tb.get(m, 0)
-            if ca != cb and sum(m) <= degree:
-                worst = (m, ca, cb)
-                break
-    return EqualityReport(equal=worst is None, witness=worst)
+            if ca != cb:
+                return EqualityReport(equal=False, witness=(m, ca, cb))
+    return EqualityReport(equal=True, witness=None)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loomfold
 from loomfold.cartan import build, build_affine, twisted_types
@@ -26,6 +28,7 @@ from loomfold.characters import (
 )
 from loomfold.folding import (
     bar_inversion_parts,
+    fold_root,
     parent_char_exponents,
     parent_positive_roots,
     sigma_for,
@@ -121,6 +124,44 @@ def test_fold_series_a22_example():
     assert fold_series(one(2, 10), om, 10).terms == {(0, 0): 1}
 
 
+def test_fold_series_rejects_wrong_rank():
+    # A5~2's rank-3 twisted series through its rank-5 orbit map
+    d = build("A", 5, 2)
+    with pytest.raises(RankMismatch):
+        fold_series(char_product(d, 1, 6), sigma_for(d), 6)
+
+
+# the orbit maps of parent rank <= 3, by parent rank (no twisted type has rank 1)
+FOLD_MAPS = {om.parent_rank: om for om in (sigma_for(build("A", 2, 2)), sigma_for(build("D", 3, 2)))}
+
+
+@st.composite
+def product_cases(draw):
+    """(exponents, rank, degree, fold degree, orbit map or None); the
+    coordinates reach 4, so some factors are taller than the degree."""
+    rank = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 8))
+    root = st.lists(st.integers(0, 4), min_size=rank, max_size=rank).filter(any)
+    exps = draw(st.lists(st.tuples(root.map(lambda v: (0, *v)), st.integers(0, 3)), max_size=5))
+    return exps, rank, degree, draw(st.integers(0, degree)), FOLD_MAPS.get(rank)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(product_cases())
+def test_kernel_and_fold_match_naive(case):
+    exps, rank, degree, fold_degree, om = case
+    ser = product_from_exponents(exps, rank, degree)
+    assert ser.terms == brute_force_product(exps, rank, degree)
+    if om is not None:
+        # the fold degree may be below the series degree: different key bases
+        naive = {}
+        for m, c in ser.terms.items():
+            if sum(m) <= fold_degree:
+                fm = fold_root(om, m)
+                naive[fm] = naive.get(fm, 0) + c
+        assert fold_series(ser, om, fold_degree).terms == naive
+
+
 def test_fold_series_truncates_deeper_series():
     om = sigma_for(build("E", 6, 2))
     exps = parent_char_exponents(om, 2)
@@ -136,6 +177,18 @@ def test_parent_exponents_match_untwisted_affine_route():
     a51 = build("A", 5, 1)
     via_affine = sorted(char_exponents(a51, 1))
     assert via_parent == via_affine
+
+
+@pytest.mark.parametrize("m", [
+    (0, 0, 0, 0),      # one slot too many; packs to the key of (0, 0, 0)
+    (0, 5, -1),        # a negative coordinate; also packs to the key of (0, 0, 0)
+    (0, 5, 0),         # taller than the degree; packs to the key of (0, 0, 1)
+])
+def test_coefficient_of_foreign_monomial_is_zero(m):
+    ser = product_from_exponents([((0, 0, 1), 1), ((0, 1, 0), 1)], 2, 4)
+    assert ser.coefficient((0, 0, 0)) == ser.coefficient((0, 0, 1)) == 1
+    assert ser.coefficient(m) == 0
+    assert m not in ser.terms
 
 
 def test_inversion_set_support():
@@ -160,32 +213,36 @@ def test_product_order_independence():
 
 
 def test_series_equal_witness():
-    a = CharSeries(rank=1, degree=4, terms={(0, 0): 1})
-    b = CharSeries(rank=1, degree=4, terms={(0, 0): 1, (0, 1): 1})
+    a = CharSeries.from_terms(1, 4, {(0, 0): 1})
+    b = CharSeries.from_terms(1, 4, {(0, 0): 1, (0, 1): 1})
     rep = series_equal(a, b, 4)
     assert not rep.equal
     assert rep.witness == ((0, 1), 0, 1)
     assert series_equal(a, a, 4).equal
     with pytest.raises(RankMismatch):
-        series_equal(a, CharSeries(rank=2, degree=4, terms={}), 4)
+        series_equal(a, CharSeries.from_terms(2, 4, {}), 4)
     with pytest.raises(RankMismatch):
-        series_equal(a, CharSeries(rank=1, degree=2, terms={}), 4)
+        series_equal(a, CharSeries.from_terms(1, 2, {}), 4)
 
 
 def test_witness_is_minimal_height():
-    a = CharSeries(rank=1, degree=6, terms={(0, 0): 1, (0, 2): 5, (0, 4): 9})
-    b = CharSeries(rank=1, degree=6, terms={(0, 0): 1, (0, 2): 7, (0, 4): 8})
+    a = CharSeries.from_terms(1, 6, {(0, 0): 1, (0, 2): 5, (0, 4): 9})
+    b = CharSeries.from_terms(1, 6, {(0, 0): 1, (0, 2): 7, (0, 4): 8})
     rep = series_equal(a, b, 6)
     assert rep.witness == ((0, 2), 5, 7)
 
 
 def test_series_equal_ignores_zeros_and_higher_terms():
-    a = CharSeries(rank=1, degree=4, terms={(0, 0): 1, (0, 1): 0})
-    b = CharSeries(rank=1, degree=6, terms={(0, 0): 1, (0, 5): 3})
-    c = CharSeries(rank=1, degree=4, terms={(0, 0): 1, (0, 6): 2})
+    a = CharSeries.from_terms(1, 4, {(0, 0): 1, (0, 1): 0})
+    b = CharSeries.from_terms(1, 6, {(0, 0): 1, (0, 5): 3})
+    # a series holds no term above its own degree, so the taller term
+    # lives in a deeper series
+    c = CharSeries.from_terms(1, 6, {(0, 0): 1, (0, 6): 2})
     for x, y in ((a, b), (b, a), (a, c), (c, b)):
         assert series_equal(x, y, 4) == series_equal(y, x, 4)
         assert series_equal(x, y, 4).equal
+    with pytest.raises(ValueError):
+        CharSeries.from_terms(1, 4, {(0, 0): 1, (0, 6): 2})
 
 
 def test_coefficients_stay_integral():
@@ -225,6 +282,11 @@ def test_bad_degree_or_root_rejected():
             product_from_exponents(exps, 1, -1)
     with pytest.raises(NotPositiveRoot):
         product_from_exponents([((0, 0), 1)], 1, 4)
+    # a negative coordinate would borrow from the next packed digit
+    with pytest.raises(NotPositiveRoot):
+        product_from_exponents([((0, 2, -1), 1)], 2, 3)
+    with pytest.raises(RankMismatch):
+        product_from_exponents([((0, 1, 1), 1)], 1, 3)
 
 
 def test_multiplicity_check_survives_optimize():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import loomfold
 from loomfold.cartan import all_affine_types
-from loomfold.cli import ParseError, UnknownType, main, parse_type
+from loomfold.cli import MAX_DEGREE, ParseError, UnknownType, main, parse_type
 
 
 def run(capsys, *argv):
@@ -161,6 +161,9 @@ def test_verify_all_fault_injection(capsys):
     ("fold-verify", "--type", "A5~2", "--node", "-1"),
     ("fold-verify", "--type", "A5~2", "--all", "--node", "9"),
     ("verify-all", "--degree", "-1"),
+    ("char", "--type", "A5~2", "--node", "1", "--degree", str(MAX_DEGREE + 1)),
+    ("char", "--type", "A2~2", "--node", "1", "--degree", "1000000000", "--fold-check"),
+    ("verify-all", "--degree", str(MAX_DEGREE + 1)),
     ("cartan", "--type", "A65~1"),
     ("char", "--node", "1", "--type", "A999999999~1"),
 ])
@@ -222,7 +225,9 @@ def cli_queries(draw):
         node = draw(st.one_of(st.integers(1, 4), st.integers(-2, 12)))
         argv += ["--node", str(node)]
     if command == "char":
-        argv += ["--degree", str(draw(st.integers(-2, 6)))]
+        # a degree above the cap must be rejected before any work
+        argv += ["--degree", str(draw(st.one_of(st.integers(-2, 6),
+                                                st.integers(MAX_DEGREE + 1, 10**9))))]
     argv += draw(st.sampled_from(COMMAND_EXTRAS[command]))
     return argv, node
 
@@ -247,3 +252,5 @@ def test_main_exit_contract(query):
             n = 0
         if not 1 <= node <= n:
             assert code != 0
+    if "--degree" in argv and int(argv[argv.index("--degree") + 1]) > MAX_DEGREE:
+        assert code == 2
