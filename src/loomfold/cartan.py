@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 Vec = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -166,57 +165,60 @@ def _gcm_from_edges(m: int, edges) -> list[list[int]]:
     return a
 
 
-def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Exact Gauss-Jordan elimination of a rational matrix.
+def _rref(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
-    Returns the reduced row echelon form and the pivot column of each of
-    its leading rows, in order; the rows after those are zero.
+    Returns the reduced rows and the pivot column of each leading row, in
+    order; a leading row is zero in every other pivot column, and the rows
+    after those are zero.  Each updated row is divided by its content, so
+    the entries stay small.
     """
-    rows = [[Fraction(x) for x in row] for row in rows]
+    rows = [list(row) for row in rows]
     pivots: list[int] = []
     for c in range(len(rows[0])):
         r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        pv = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row = [pv * x - f * y for x, y in zip(row, top)]
+                g = math.gcd(*row) or 1
+                rows[i] = [x // g for x in row]
         pivots.append(c)
     return rows, pivots
 
 
-def _primitive(v) -> list[int]:
-    """The primitive integer vector on the ray of a nonzero rational vector."""
-    lcm = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * lcm) for x in v]
-    g = math.gcd(*ints)
-    return [x // g for x in ints]
-
-
 def _symmetrizer(a: list[list[int]], edges, m: int) -> list[int]:
-    # Solve d_i * a_ij = d_j * a_ji along the (connected) diagram, min d = 1.
+    # Solve d_i * a_ij = d_j * a_ji along the (connected) diagram, min d = 1:
+    # d_j = d_i a_ij / a_ji, scaling every d found so far when that is no integer
     adj: dict[int, list[int]] = {i: [] for i in range(m)}
     for i, j, _ in edges:
         adj[i].append(j)
         adj[j].append(i)
-    d: list[Fraction | None] = [None] * m
-    d[0] = Fraction(1)
+    d = [0] * m
+    d[0] = 1
     stack = [0]
     while stack:
         i = stack.pop()
         for j in adj[i]:
-            if d[j] is None:
-                d[j] = d[i] * a[i][j] / a[j][i]
+            if not d[j]:
+                num, den = d[i] * a[i][j], a[j][i]
+                if num % den:
+                    scale = abs(den) // math.gcd(num, den)
+                    d = [x * scale for x in d]
+                    num *= scale
+                d[j] = num // den
                 stack.append(j)
-    ints = _primitive(d)
-    if min(ints) != 1:
+    g = math.gcd(*d)
+    d = [x // g for x in d]
+    if min(d) != 1:
         raise InvalidType("symmetrizer normalization failed")
-    return ints
+    return d
 
 
 def _primitive_null(a: list[list[int]]) -> list[int]:
@@ -227,16 +229,25 @@ def _primitive_null(a: list[list[int]]) -> list[int]:
     if len(free) != 1:
         raise InvalidType("affine GCM must have a 1-dimensional kernel")
     fc = free[0]
-    v = [Fraction(0)] * m
-    v[fc] = Fraction(1)
-    for i, c in enumerate(pivots):
-        v[c] = -rows[i][fc]
-    ints = _primitive(v)
+    # row i reads p_i v[c_i] + row[fc] v[fc] = 0; v[fc] = lcm(p_i) keeps v integral
+    v = [0] * m
+    v[fc] = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
+    for row, c in zip(rows, pivots):
+        v[c] = -row[fc] * v[fc] // row[c]
+    g = math.gcd(*v)
+    ints = [x // g for x in v]
     if ints[0] < 0:
         ints = [-x for x in ints]
     if any(x <= 0 for x in ints):
         raise InvalidType("null vector of an affine GCM must be positive")
     return ints
+
+
+@functools.cache
+def _bonds(gcm: Matrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """bonds[i]: the (j, a_ij) with j != i and a_ij != 0, i.e. i's Dynkin neighbours."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x and j != i)
+                 for i, row in enumerate(gcm))
 
 
 def build_affine(at: AffineType) -> AffineData:

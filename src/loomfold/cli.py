@@ -14,6 +14,7 @@ import sys
 
 from . import cartan, characters, folding, pbw, qsymbolic, verify, weyl
 from .cartan import AffineData, InvalidType
+from .characters import MAX_DEGREE
 
 
 class ParseError(ValueError):
@@ -40,18 +41,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# affine_type builds an N-long diagram and the Cartan build is O(N^3) exact
-# elimination, so the CLI caps N before calling either
+# affine_type builds an N-long diagram and the Cartan build is O(N^3)
+# fraction-free elimination, so the CLI caps N before calling either; at the
+# cap, on a 2-vCPU Xeon VM, `cartan --type D64~1` takes about 0.2 s and
+# building every type with n <= 64 about 7 s
 MAX_RANK = 64
-
-# the series work grows polynomially in the degree, with the rank in the
-# exponent; at 24, on a 2-vCPU Xeon VM, verify-all takes about 14 s and
-# 47 MB, and the largest char query measured (A64~1 node 32) 7.5 s and 250 MB
-MAX_DEGREE = 24
 
 
 def _degree(k: int) -> int:
-    """k, checked to be a height bound in 0..MAX_DEGREE."""
+    """k, checked to be a height bound in 0..MAX_DEGREE before any cell runs."""
     if k < 0:
         raise OutOfRange(f"degree {k} is negative")
     if k > MAX_DEGREE:
@@ -155,6 +153,8 @@ def cmd_fold_verify(args) -> int:
 def cmd_char(args) -> int:
     d = _data(args)
     s, degree = d.check_node(args.node), _degree(args.degree)
+    if args.fold_check and d.type.r == 1:
+        raise UnknownType(f"{d.type} is untwisted; --fold-check needs a twisted type")
     ser = characters.char_product(d, s, degree)
     out: dict = {
         "type": str(d.type), "node": s, "degree": degree,
@@ -162,8 +162,6 @@ def cmd_char(args) -> int:
     }
     code = 0
     if args.fold_check:
-        if d.type.r == 1:
-            raise UnknownType(f"{d.type} is untwisted; --fold-check needs a twisted type")
         om = folding.sigma_for(d)
         parent = characters.product_from_exponents(
             folding.parent_char_exponents(om, s), om.parent_rank, degree)

@@ -3,16 +3,16 @@
 A lattice vector is a plain tuple of ints indexed by node id 0..n; vectors
 in the finite sublattice (spanned by alpha_1..alpha_n) have coordinate 0
 equal to zero.  Enumeration of the finite positive roots walks the
-reflection closure beta -> beta - <beta, h_i> alpha_i starting from the
-simple roots; at rank <= 16 this is instant and doubles as the oracle for
-the Weyl-group computations.
+reflection closure beta -> beta - <beta, h_i> alpha_i upwards from the
+simple roots, pairing over Dynkin bonds; it doubles as the oracle for the
+Weyl-group computations.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .cartan import AffineData, IndexOutOfRange, Vec, bilinear
+from .cartan import AffineData, IndexOutOfRange, Vec, _bonds, bilinear
 
 
 def coeff(v: Vec, s: int) -> int:
@@ -27,7 +27,8 @@ def height(v: Vec) -> int:
 
 
 def is_negative(v: Vec) -> bool:
-    return any(x != 0 for x in v) and all(x <= 0 for x in v)
+    """v is nonzero with no positive coordinate."""
+    return max(v) <= 0 and min(v) < 0
 
 
 def closure_positive_roots(gcm, nodes) -> list[Vec]:
@@ -35,30 +36,28 @@ def closure_positive_roots(gcm, nodes) -> list[Vec]:
 
     gcm may be any symmetrizable Cartan matrix of finite type (full affine
     GCM restricted to `nodes`, or a parent finite matrix).  Vectors are
-    full-length tuples, zero outside `nodes`.
+    full-length tuples, zero outside `nodes`.  The walk starts at the
+    simple roots and only ever steps up, beta -> beta - <beta, h_i> alpha_i
+    with <beta, h_i> < 0: every positive root above a simple one lies one
+    such step above a lower positive root.
     """
     m = len(gcm)
-    roots: set[Vec] = set()
-    queue: list[Vec] = []
-    for i in nodes:
-        v = [0] * m
-        v[i] = 1
-        for w in (tuple(v), tuple(-x for x in v)):
-            roots.add(w)
-            queue.append(w)
+    bonds = _bonds(tuple(map(tuple, gcm)))
+    roots = {tuple(int(j == i) for j in range(m)) for i in nodes}
+    queue = list(roots)
     while queue:
         b = queue.pop()
         for i in nodes:
-            pairing = sum(gcm[i][j] * b[j] for j in nodes if b[j])
-            if pairing == 0:
-                continue
-            nb = list(b)
-            nb[i] -= pairing
-            t = tuple(nb)
-            if t not in roots:
-                roots.add(t)
-                queue.append(t)
-    return sorted(v for v in roots if all(x >= 0 for x in v))
+            # b is zero outside `nodes`, so the pairing may run over every bond
+            pairing = 2 * b[i] + sum(a * b[j] for j, a in bonds[i])
+            if pairing < 0:
+                nb = list(b)
+                nb[i] -= pairing
+                t = tuple(nb)
+                if t not in roots:
+                    roots.add(t)
+                    queue.append(t)
+    return sorted(roots)
 
 
 @functools.cache

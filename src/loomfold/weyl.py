@@ -11,9 +11,11 @@ never materialized.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from operator import add
 
-from .cartan import AffineData, Matrix, Vec
+from .cartan import AffineData, Matrix, Vec, _bonds
 from .lattice import finite_positive_roots, is_negative, root_norm
 
 
@@ -93,17 +95,12 @@ def translation_minus_lambda(data: AffineData, s: int) -> ExtWeylElt:
     return ExtWeylElt(shift(1), shift(-1))
 
 
-def _right_reflect(gcm, i, m_rows) -> None:
-    # m_rows <- m_rows @ S_i: column j -= a_ij * column i (j != i), column i negated
-    m = len(m_rows)
-    for row in m_rows:
-        ci = row[i]
-        if ci:
-            for j in range(m):
-                c = gcm[i][j]
-                if c and j != i:
-                    row[j] -= c * ci
-            row[i] = -ci
+def _reflect_columns(cols: list[Vec], bonds, i: int) -> None:
+    # cols <- cols @ S_i: column j -= a_ij * column i on each bond (j, a_ij), column i negated
+    ci = cols[i]
+    for j, a in bonds[i]:
+        cols[j] = tuple([x - a * y for x, y in zip(cols[j], ci)])
+    cols[i] = tuple([-x for x in ci])
 
 
 def alcove_factorize(data: AffineData, elt: ExtWeylElt):
@@ -113,29 +110,26 @@ def alcove_factorize(data: AffineData, elt: ExtWeylElt):
     Raises NotLengthZeroResidue when elt moves delta or the residue is not
     a permutation matrix (the input was not an extended-Weyl element).
     """
-    m = data.rank
-    gcm = data.gcm
+    bonds = _bonds(data.gcm)
     # every extended-Weyl element fixes delta; without this check -I would descend forever
     if elt.apply(data.delta) != data.delta:
         raise NotLengthZeroResidue("element does not fix delta")
-    # only elt^{-1} is tracked: letter i is a left descent exactly when elt^{-1}(alpha_i) < 0
-    inv = [list(row) for row in elt.inverse]
+    # only elt^{-1} is tracked, by columns: cols[i] = elt^{-1}(alpha_i), and
+    # letter i is a left descent exactly when that column is negative
+    cols = list(zip(*elt.inverse))
+    neg = [is_negative(c) for c in cols]
     word: list[int] = []
-    while True:
-        desc = None
-        for i in range(m):
-            col = [inv[k][i] for k in range(m)]
-            if is_negative(tuple(col)):
-                desc = i
-                break
-        if desc is None:
-            break
-        word.append(desc)
-        _right_reflect(gcm, desc, inv)
-    # inv is now tau^{-1} = tau^T, so tau[j] is the column of the single 1 in row j
+    while True in neg:
+        i = neg.index(True)
+        word.append(i)
+        _reflect_columns(cols, bonds, i)
+        for j, _ in bonds[i]:
+            neg[j] = is_negative(cols[j])
+        neg[i] = False  # the negated column of a negative one is positive
+    # the residue is tau^{-1} = tau^T, so tau[j] is the column of the single 1 in row j
     tau: list[int] = []
-    for row in inv:
-        if 1 not in row or sum(abs(x) for x in row) != 1:
+    for row in zip(*cols):
+        if 1 not in row or sum(map(abs, row)) != 1:
             raise NotLengthZeroResidue("residue is not a simple-root permutation")
         tau.append(row.index(1))
     return tuple(word), tuple(tau)
@@ -147,19 +141,26 @@ def inversion_set_from_word(data: AffineData, word) -> list[Vec]:
     Raises NotReduced if some beta_k is negative or repeats.
     """
     m = data.rank
-    gcm = data.gcm
-    acc = [[int(i == j) for j in range(m)] for i in range(m)]
+    bonds = _bonds(data.gcm)
+    # cols[i] = s_{i_1} ... s_{i_{k-1}}(alpha_i), so beta_k is column i_k
+    cols = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     betas: list[Vec] = []
     seen = set()
     for ik in word:
         data.check_node(ik, 0)
-        beta = tuple(acc[k][ik] for k in range(m))
-        if not all(x >= 0 for x in beta) or beta in seen:
+        beta = cols[ik]
+        if min(beta) < 0 or beta in seen:
             raise NotReduced(f"word {tuple(word)} is not reduced at beta = {beta}")
         betas.append(beta)
         seen.add(beta)
-        _right_reflect(gcm, ik, acc)
+        _reflect_columns(cols, bonds, ik)
     return betas
+
+
+@functools.cache
+def _finite_root_norms(data: AffineData) -> tuple[int, ...]:
+    """(alpha, alpha) for each alpha of finite_positive_roots(data), in its order."""
+    return tuple(root_norm(data, al) for al in finite_positive_roots(data))
 
 
 def inversion_set_detailed(data: AffineData, s: int):
@@ -168,25 +169,32 @@ def inversion_set_detailed(data: AffineData, s: int):
     family is 1 or 2 for A_{2n}^(2) (alpha + k delta vs 2 alpha + (2k+1) delta),
     None otherwise.  All returned vectors are positive affine roots.
     """
-    m = data.rank
     data.check_node(s)
     delta = data.delta
-    pos = finite_positive_roots(data)
+    roots = zip(finite_positive_roots(data), _finite_root_norms(data))
     out = []
     if data.type.is_a2n2:
-        for al in pos:
-            for k in range(al[s]):
-                out.append((tuple(al[i] + k * delta[i] for i in range(m)), 1))
-            if root_norm(data, al) == 2:
-                for k in range(al[s]):
-                    out.append((tuple(2 * al[i] + (2 * k + 1) * delta[i] for i in range(m)), 2))
+        step = tuple(2 * x for x in delta)
+        for al, norm in roots:
+            v = al
+            for _ in range(al[s]):
+                out.append((v, 1))
+                v = tuple(map(add, v, delta))
+            if norm == 2:
+                v = tuple(2 * x + y for x, y in zip(al, delta))
+                for _ in range(al[s]):
+                    out.append((v, 2))
+                    v = tuple(map(add, v, step))
     else:
         r = data.type.r
         p = _scale(data, s)
-        for al in pos:
-            gam = 1 if r == 1 else (r if root_norm(data, al) == 2 * r else 1)
-            for k in range(-(-p * al[s] // gam)):  # k < p [alpha]_s / gamma
-                out.append((tuple(al[i] + k * gam * delta[i] for i in range(m)), None))
+        long_step = tuple(r * x for x in delta)
+        for al, norm in roots:
+            gam, step = (r, long_step) if norm == 2 * r else (1, delta)
+            v = al
+            for _ in range(-(-p * al[s] // gam)):  # k < p [alpha]_s / gamma
+                out.append((v, None))
+                v = tuple(map(add, v, step))
     return out
 
 

@@ -1,5 +1,7 @@
 """Cartan datum fixtures and invariants for every affine type."""
 
+import math
+
 import pytest
 
 from loomfold.cartan import (
@@ -116,9 +118,13 @@ def test_gcm_shape_invariants():
 
 
 def test_null_vectors_exact():
-    for at in all_affine_types(8):
+    # kac and dual_kac are the positive primitive generators of the kernels
+    # of the GCM and its transpose
+    for at in all_affine_types(32):
         d = build_affine(at)
         m = d.rank
+        for v in (d.kac, d.dual_kac):
+            assert min(v) > 0 and math.gcd(*v) == 1
         for i in range(m):
             assert sum(d.gcm[i][j] * d.kac[j] for j in range(m)) == 0
             assert sum(d.dual_kac[j] * d.gcm[j][i] for j in range(m)) == 0

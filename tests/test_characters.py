@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import loomfold
 from loomfold.cartan import build, build_affine, twisted_types
 from loomfold.characters import (
+    MAX_DEGREE,
     CharSeries,
+    DegreeAboveCap,
     MultiplicityMismatch,
     NegativeDegree,
     NonIntegerExponent,
@@ -287,6 +289,15 @@ def test_bad_degree_or_root_rejected():
         product_from_exponents([((0, 2, -1), 1)], 2, 3)
     with pytest.raises(RankMismatch):
         product_from_exponents([((0, 1, 1), 1)], 1, 3)
+
+
+def test_degree_cap_is_checked_before_allocation():
+    # the height buckets are allocated up front, so a huge degree must stop first
+    with pytest.raises(DegreeAboveCap, match=str(10**8)):
+        product_from_exponents([], 1, 10**8)
+    with pytest.raises(DegreeAboveCap):
+        char_product(build("D", 3, 2), 1, MAX_DEGREE + 1)
+    assert product_from_exponents([], 1, MAX_DEGREE).coefficient((0, 0)) == 1
 
 
 def test_multiplicity_check_survives_optimize():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loomfold
+from loomfold import characters
 from loomfold.cartan import all_affine_types
 from loomfold.cli import MAX_DEGREE, ParseError, UnknownType, main, parse_type
 
@@ -102,6 +103,15 @@ def test_char(capsys):
     assert json.loads(out)["series"] == {"0,0": 1}
     code, _, err = run(capsys, "char", "--type", "A3~1", "--node", "1", "--fold-check")
     assert code == 2  # folding needs a twisted type
+
+
+def test_fold_check_on_untwisted_type_does_no_series_work(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(characters, "char_product", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "char", "--type", "E8~1", "--node", "4",
+                         "--degree", str(MAX_DEGREE), "--fold-check")
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error:") and "untwisted" in err
 
 
 def test_pbw_graph(capsys):

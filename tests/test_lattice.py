@@ -2,9 +2,11 @@
 
 import pytest
 
-from loomfold.cartan import all_affine_types, bilinear, build, build_affine
+from loomfold.cartan import all_affine_types, bilinear, build, build_affine, twisted_types
+from loomfold.folding import sigma_for
 from loomfold.lattice import (
     IndexOutOfRange,
+    closure_positive_roots,
     coeff,
     finite_positive_roots,
     height,
@@ -95,6 +97,43 @@ def test_closure_property():
                 c = tuple(x + y for x, y in zip(a, b))
                 if c not in pos:
                     assert not _is_finite_root(d, c), (at, a, b)
+
+
+def _naive_closure(gcm, nodes):
+    """Reference: close the simple roots and their negatives under every
+    simple reflection, then keep the positive vectors."""
+    m = len(gcm)
+    roots = set()
+    for i in nodes:
+        for sign in (1, -1):
+            roots.add(tuple(sign * int(j == i) for j in range(m)))
+    queue = list(roots)
+    while queue:
+        b = queue.pop()
+        for i in nodes:
+            pairing = sum(gcm[i][j] * b[j] for j in nodes)
+            t = list(b)
+            t[i] -= pairing
+            t = tuple(t)
+            if t not in roots:
+                roots.add(t)
+                queue.append(t)
+    return sorted(v for v in roots if min(v) >= 0)
+
+
+def test_closure_matches_naive_reference():
+    # every finite system with n <= 12 and every simply-laced parent of the
+    # twisted types with n <= 12 (ranks up to 24)
+    cases = [(build_affine(at).gcm, range(1, at.n + 1)) for at in all_affine_types(12)]
+    cases += [(om.parent_gcm, range(1, om.parent_rank + 1))
+              for om in (sigma_for(build_affine(at)) for at in twisted_types(12))]
+    sizes = set()
+    for gcm, nodes in cases:
+        roots = closure_positive_roots(gcm, nodes)
+        assert roots == _naive_closure(gcm, nodes)
+        sizes.add((len(nodes), len(roots)))
+    # A_24 (the parent of A24~2), B_12 and C_12, D_12, E_8
+    assert {(24, 300), (12, 144), (12, 132), (8, 120)} <= sizes
 
 
 def test_two_length_classes():

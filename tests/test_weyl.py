@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loomfold
-from loomfold.cartan import build
+from loomfold.cartan import all_affine_types, build, build_affine
 from loomfold.folding import sigma_for, verify_fold_identity
 from loomfold.lattice import finite_positive_roots, root_norm
 from loomfold.weyl import (
@@ -221,6 +223,53 @@ def test_factorize_round_trip():
             # factorization is stable: re-factorizing returns the same word
             word2, tau2 = alcove_factorize(d, rebuilt)
             assert (word2, tau2) == (word, tau)
+
+
+def _identity(d):
+    eye = tuple(tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank))
+    return ExtWeylElt(eye, eye)
+
+
+def _naive_betas(d, word):
+    """s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) for each k, by matrix products."""
+    prefix = _identity(d)
+    betas = []
+    for i in word:
+        betas.append(prefix.apply(tuple(int(j == i) for j in range(d.rank))))
+        prefix = prefix.compose(simple_reflection(d, i))
+    return betas
+
+
+@st.composite
+def weyl_elements(draw):
+    """(data, word, s): the element s_{i_1} ... s_{i_k}, times t_{-lambda_s} when s > 0."""
+    d = build_affine(draw(st.sampled_from(all_affine_types(6))))
+    word = tuple(draw(st.lists(st.integers(0, d.n), max_size=12)))
+    return d, word, draw(st.integers(0, d.n))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(weyl_elements())
+def test_kernel_matches_matrix_products(case):
+    d, word, s = case
+    elt = _identity(d)
+    for i in word:
+        elt = elt.compose(simple_reflection(d, i))
+    if s:
+        elt = elt.compose(translation_minus_lambda(d, s))
+    reduced, tau = alcove_factorize(d, elt)
+    rebuilt = _identity(d)
+    for i in reduced:
+        rebuilt = rebuilt.compose(simple_reflection(d, i))
+    rows = tuple(tuple(int(r == tau[c]) for c in range(d.rank)) for r in range(d.rank))
+    assert rebuilt.compose(ExtWeylElt(rows, tuple(zip(*rows)))).matrix == elt.matrix
+    assert inversion_set_from_word(d, reduced) == _naive_betas(d, reduced)
+    betas = _naive_betas(d, word)
+    if all(min(b) >= 0 for b in betas) and len(set(betas)) == len(betas):
+        assert inversion_set_from_word(d, word) == betas
+    else:
+        with pytest.raises(NotReduced):
+            inversion_set_from_word(d, word)
 
 
 def test_betas_are_positive_real_roots():
