@@ -9,6 +9,7 @@ codes: 0 ok, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -251,7 +252,14 @@ def cmd_verify_all(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and reused by every later one.
+
+    It holds no command functions: `main` looks each `cmd_*` up by name at
+    call time, so a function replaced on this module after the first call
+    still runs.
+    """
     top = _Parser(
         prog="loomfold",
         description="Exact affine root-system data, folding, and character identities. "
@@ -261,19 +269,16 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("cartan", help="dump the Cartan datum of one affine type")
     p.add_argument("--type", required=True)
-    p.set_defaults(func=cmd_cartan)
 
     p = sub.add_parser("inversions", help="inversion set of t_{-lambda_s}, by word and/or closed form")
     p.add_argument("--type", required=True)
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--method", choices=("word", "closed", "both"), default="both")
-    p.set_defaults(func=cmd_inversions)
 
     p = sub.add_parser("fold-verify", help="check the folding exponent identity")
     p.add_argument("--type", required=True)
     p.add_argument("--node", type=int)
     p.add_argument("--all", action="store_true", help="all nodes of the type")
-    p.set_defaults(func=cmd_fold_verify)
 
     p = sub.add_parser("char", help="truncated character product of L_{s,a}")
     p.add_argument("--type", required=True)
@@ -281,31 +286,29 @@ def main(argv=None) -> int:
     p.add_argument("--degree", type=int, default=12)
     p.add_argument("--fold-check", action="store_true",
                    help="also compare against the folded untwisted parent series")
-    p.set_defaults(func=cmd_char)
 
     p = sub.add_parser("pbw-graph", help="e'-derivation graph at a minuscule node")
     p.add_argument("--type", required=True)
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.set_defaults(func=cmd_pbw_graph)
 
     p = sub.add_parser("eta", help="b, c and eta data for the minuscule twisted families")
     p.add_argument("--type", required=True)
     p.add_argument("--o", type=int, choices=(1, -1), default=1)
-    p.set_defaults(func=cmd_eta)
 
-    p = sub.add_parser("serre-check", help="quantum Serre coefficient cancellations")
-    p.set_defaults(func=cmd_serre_check)
+    sub.add_parser("serre-check", help="quantum Serre coefficient cancellations")
 
     p = sub.add_parser("verify-all", help="run the full verification matrix")
     p.add_argument("--degree", type=int, default=12)
     p.add_argument("--inject-fault", action="store_true",
                    help="test-only: flip one xi value and expect a failure")
-    p.set_defaults(func=cmd_verify_all)
+    return top
 
+
+def main(argv=None) -> int:
     try:
-        args = top.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (folding.IdentityViolation, qsymbolic.NonzeroCoefficient, weyl.NotReduced) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

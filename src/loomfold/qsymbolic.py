@@ -1,20 +1,25 @@
 """Exact Laurent polynomials in q with a formal spectral parameter a.
 
-Everything here is exact rational arithmetic: q-integers, balanced Gaussian
-binomials, the l-weight rational function Psi(z) built from (omega, b, c,
-o, d), the eta cancellation data for the two minuscule twisted families,
-and the quantum Serre coefficient checks.  The sign o(i) and the parameter
-a stay formal throughout; a is never specialized to a number.
+Everything here is exact integer arithmetic, and a coefficient that is not
+an int is rejected: q-integers, balanced Gaussian binomials, the l-weight
+rational function Psi(z) built from (omega, b, c, o, d), the eta
+cancellation data for the two minuscule twisted families, and the quantum
+Serre coefficient checks.  The sign o(i) and the parameter a stay formal
+throughout; a is never specialized to a number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class NonzeroCoefficient(ValueError):
     """A coefficient combination that must vanish identically did not."""
+
+
+class NonIntegerCoefficient(ValueError):
+    """A LaurentPoly coefficient that is not an int, such as 1/2 or 0.5."""
 
 
 class NonIntegerStep(ValueError):
@@ -29,16 +34,18 @@ def drinfeld_step(data, i: int) -> int:
     """
     if data.type.is_untwisted or data.type.is_a2n2:
         return 1
-    step = Fraction(data.dual_kac[i], data.kac[i])
-    if step <= 1:
+    num, den = data.dual_kac[i], data.kac[i]
+    if num <= den:
         return 1
-    if step.denominator != 1:
-        raise NonIntegerStep(f"a_{i}^v / a_{i} = {step} is not an integer in {data.type}")
-    return int(step)
+    step, rem = divmod(num, den)
+    if rem:
+        g = math.gcd(num, den)
+        raise NonIntegerStep(f"a_{i}^v / a_{i} = {num // g}/{den // g} is not an integer in {data.type}")
+    return step
 
 
 class LaurentPoly:
-    """Map (q-power, a-power) -> rational, zero entries never stored."""
+    """Map (q-power, a-power) -> int, zero entries never stored."""
 
     __slots__ = ("terms",)
 
@@ -46,13 +53,14 @@ class LaurentPoly:
         self.terms = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, int):
+                    raise NonIntegerCoefficient(f"coefficient {c!r} is not an integer")
                 if c:
                     self.terms[key] = c
 
     @classmethod
     def term(cls, coeff=1, qpow=0, apow=0) -> "LaurentPoly":
-        return cls({(qpow, apow): Fraction(coeff)})
+        return cls({(qpow, apow): coeff})
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -69,7 +77,7 @@ class LaurentPoly:
         other = _coerce(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
+            s = out.get(key, 0) + c
             if s:
                 out[key] = s
             else:
@@ -93,7 +101,7 @@ class LaurentPoly:
         for (q1, a1), c1 in self.terms.items():
             for (q2, a2), c2 in other.terms.items():
                 key = (q1 + q2, a1 + a2)
-                s = out.get(key, Fraction(0)) + c1 * c2
+                s = out.get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
@@ -103,9 +111,14 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if not isinstance(other, (LaurentPoly, int)):
+            return NotImplemented
         return self.terms == _coerce(other).terms
 
     def __hash__(self):
+        # a constant equals its int, so it hashes like it
+        if self.terms.keys() <= {(0, 0)}:
+            return hash(self.terms.get((0, 0), 0))
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
@@ -123,7 +136,7 @@ class LaurentPoly:
         return " + ".join(bits)
 
     def json_map(self) -> dict:
-        """{q_power: {a_power: "p/q"}} with string keys, deterministic."""
+        """{q_power: {a_power: "c"}}, the int c in decimal, string keys, deterministic."""
         out: dict = {}
         for (qp, ap), c in sorted(self.terms.items()):
             out.setdefault(str(qp), {})[str(ap)] = str(c)
@@ -133,7 +146,7 @@ class LaurentPoly:
 def _coerce(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
-    return LaurentPoly.term(Fraction(x))
+    return LaurentPoly.term(x)
 
 
 def q_power(k: int) -> LaurentPoly:
@@ -148,7 +161,7 @@ def qint(m: int, d: int = 1) -> LaurentPoly:
     """[m]_{q_i} with q_i = q^d: the balanced sum q^{d(m-1)} + ... + q^{-d(m-1)}."""
     out: dict = {}
     for j in range(m):
-        out[(d * (m - 1 - 2 * j), 0)] = Fraction(1)
+        out[(d * (m - 1 - 2 * j), 0)] = 1
     return LaurentPoly(out)
 
 

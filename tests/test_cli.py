@@ -1,6 +1,7 @@
 """CLI surface: type parsing, JSON determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loomfold
-from loomfold import characters
+from loomfold import characters, cli
 from loomfold.cartan import all_affine_types
 from loomfold.cli import MAX_DEGREE, ParseError, UnknownType, main, parse_type
 
@@ -142,6 +143,59 @@ def test_eta_and_serre(capsys):
     code, out, _ = run(capsys, "serre-check")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("serre-check",), "82c771c783837e08f9a982ff1435da2cd63415512e2ecb52f218c986977345b2"),
+    (("eta", "--type", "A9~2", "--o", "-1"),
+     "6a303702450a45e5d6c4e47115681e10179529cc313796d75fdb3c2b37b8f809"),
+    (("eta", "--type", "D3~2"), "56878599f5b6ae6ef1ba7f633ee0f33b34a6e1a9224aa3ad457008cf06fc0e4d"),
+])
+def test_qsymbolic_output_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_repeated_main_calls_are_independent(capsys):
+    code, out, err = run(capsys, "cartan")
+    assert (code, out) == (2, "") and err.startswith("error:")
+    code, out, _ = run(capsys, "cartan", "--type", "A5~2")
+    assert code == 0 and json.loads(out)["kac"] == [1, 1, 2, 1]
+    run(capsys, "char", "--type", "A2~2", "--node", "1", "--degree", "2", "--fold-check")
+    code, out, _ = run(capsys, "char", "--type", "A2~2", "--node", "1", "--degree", "2")
+    assert code == 0 and "fold_check" not in json.loads(out)
+    run(capsys, "inversions", "--type", "D4~2", "--node", "3", "--method", "word")
+    code, out, _ = run(capsys, "inversions", "--type", "D4~2", "--node", "3")
+    assert code == 0 and json.loads(out)["agree"] is True
+
+
+def test_help_exits_zero_after_a_call(capsys):
+    run(capsys, "serre-check")
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "serre-check" in capsys.readouterr().out
+
+
+def test_command_replaced_after_first_call_is_the_one_run(capsys, monkeypatch):
+    run(capsys, "serre-check")
+    monkeypatch.setattr(cli, "cmd_serre_check", lambda args: 7)
+    assert run(capsys, "serre-check") == (7, "", "")
+
+
+def test_second_call_builds_no_parser(capsys, monkeypatch):
+    run(capsys, "serre-check")
+    built = []
+    real_init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    code, _, _ = run(capsys, "eta", "--type", "D3~2")
+    assert (code, built) == (0, [])
 
 
 def test_verify_all_degree_zero(capsys):

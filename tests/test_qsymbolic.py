@@ -1,12 +1,14 @@
 """q-integers, eta cancellations, l-weights, and the Serre coefficient checks."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from loomfold.qsymbolic import (
     EtaCase,
     LaurentPoly,
+    NonIntegerCoefficient,
     NonzeroCoefficient,
     a_param,
     eta_case,
@@ -45,12 +47,32 @@ def test_qbinom():
 
 
 def test_laurent_arithmetic_exact():
-    p = q_power(1) + Fraction(1, 2)
+    p = q_power(1) + 1
     assert (p - p).is_zero()
-    assert p * 2 == 2 * q_power(1) + 1
+    assert p * 2 == 2 * q_power(1) + 2
     a = a_param()
-    assert (a * a).terms == {(0, 2): Fraction(1)}
-    assert all(isinstance(c, Fraction) for c in (p * p).terms.values())
+    assert (a * a).terms == {(0, 2): 1}
+    assert all(type(c) is int for c in (p * p).terms.values())
+    with pytest.raises(NonIntegerCoefficient):
+        q_power(1) + Fraction(1, 2)
+
+
+def test_laurent_eq_foreign_value_is_false():
+    one = LaurentPoly.one()
+    assert (one == None) is False  # noqa: E711
+    assert (one == "x") is False
+    assert one != "x"
+
+
+def test_laurent_constant_hashes_like_its_int():
+    assert len({LaurentPoly.one(), 1}) == 1
+    assert {LaurentPoly.zero(): "z"}[0] == "z"
+    assert hash(qint(1) * 3) == hash(3)
+
+
+def test_laurent_float_coefficient_rejected():
+    with pytest.raises(NonIntegerCoefficient):
+        q_power(1) * 0.5
 
 
 def test_serre_fixed_cases():
@@ -170,3 +192,12 @@ def test_drinfeld_step():
             assert fixed == (drinfeld_step(data, t) % at.r == 0)
             if not fixed:
                 assert drinfeld_step(data, t) == 1
+
+
+def test_drinfeld_step_names_a_non_integer_ratio_in_lowest_terms():
+    from loomfold.qsymbolic import NonIntegerStep, drinfeld_step
+
+    data = SimpleNamespace(type=SimpleNamespace(is_untwisted=False, is_a2n2=False),
+                           kac=(1, 4), dual_kac=(1, 6))
+    with pytest.raises(NonIntegerStep, match="= 3/2 is not an integer"):
+        drinfeld_step(data, 1)
