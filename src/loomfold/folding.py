@@ -16,8 +16,8 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .cartan import AffineData, Vec
-from .lattice import closure_positive_roots, is_long, project_bar
-from .weyl import inversion_set_detailed
+from .lattice import closure_positive_roots, project_bar
+from .weyl import _finite_root_norms, inversion_set_detailed
 
 
 class NotTwisted(ValueError):
@@ -138,6 +138,15 @@ def fold_root(om: OrbitMap, beta: Vec) -> Vec:
 
 
 @functools.cache
+def _fibers(om: OrbitMap) -> MappingProxyType[Vec, tuple[Vec, ...]]:
+    """Folded root -> the parent positive roots over it, in parent_positive_roots order."""
+    fibers: dict[Vec, list[Vec]] = {}
+    for b in parent_positive_roots(om):
+        fibers.setdefault(fold_root(om, b), []).append(b)
+    return MappingProxyType({beta: tuple(fib) for beta, fib in fibers.items()})
+
+
+@functools.cache
 def bar_inversion_parts(data: AffineData, s: int) -> MappingProxyType[Vec, tuple[int, int | None]]:
     """Finite parts of Delta_+(t_{-lambda_s}) with multiplicity and family tag.
 
@@ -158,11 +167,16 @@ def bar_inversion_parts(data: AffineData, s: int) -> MappingProxyType[Vec, tuple
     return MappingProxyType(parts)
 
 
+# xi values and xi * [beta]_s take few distinct values; Fractions are immutable
+_fraction = functools.cache(Fraction)
+
+
 def _xi_value(data: AffineData, s: int, beta: Vec, family: int | None) -> Fraction:
     if data.type.is_a2n2:
-        return Fraction(1) if family == 1 else Fraction(1, 2)
-    gam = data.type.r if is_long(data, beta) else 1
-    return Fraction(data.sym[s], gam)
+        return _fraction(1) if family == 1 else _fraction(1, 2)
+    # long roots have norm 2r, short ones 2
+    gam = data.type.r if _finite_root_norms(data)[beta] == 2 * data.type.r else 1
+    return _fraction(data.sym[s], gam)
 
 
 def xi(data: AffineData, s: int, beta: Vec, family: int | None = None) -> Fraction:
@@ -203,10 +217,13 @@ def verify_fold_identity(data: AffineData, s: int, xi_fault: bool = False,
     sp = orbit[0] if parent_node is None else parent_node
     if sp not in orbit:
         raise NotInInversionSet(f"parent node {sp} is not in the orbit of twisted node {s}")
-    parent_parts = [b for b in parent_positive_roots(om) if b[sp] > 0]
-    fibers: dict[Vec, list[Vec]] = {}
-    for b in parent_parts:
-        fibers.setdefault(fold_root(om, b), []).append(b)
+    # a parent root with [b]_sp > 0 folds to a root with [beta]_s > 0
+    fibers = {}
+    for beta, fib in _fibers(om).items():
+        if beta[s] > 0:
+            part = [b for b in fib if b[sp] > 0]
+            if part:
+                fibers[beta] = part
     tparts = bar_inversion_parts(data, s)
     if set(fibers) != set(tparts):
         raise IdentityViolation(
@@ -218,14 +235,15 @@ def verify_fold_identity(data: AffineData, s: int, xi_fault: bool = False,
         x = _xi_value(data, s, beta, fam)
         if xi_fault:
             x *= 2
-        lhs = sum(b[sp] for b in fibers[beta])
-        rhs = x * beta[s]
+        fiber = fibers[beta]
+        lhs = sum([b[sp] for b in fiber])
+        rhs = _fraction(x.numerator * beta[s], x.denominator)
         if lhs != rhs or rhs != mult:
             raise IdentityViolation(
                 f"identity fails at {data.type} s={s}, beta={beta}: "
                 f"fiber sum {lhs}, xi*[beta]_s = {rhs}, multiplicity {mult}",
                 beta=beta)
-        report.append(FoldEntry(beta=beta, fiber=tuple(fibers[beta]),
+        report.append(FoldEntry(beta=beta, fiber=tuple(fiber),
                                 lhs=lhs, rhs=rhs, xi=x))
     return report
 

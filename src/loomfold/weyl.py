@@ -2,11 +2,12 @@
 
 An element is stored as its matrix on affine root-lattice coordinates
 together with its inverse, which every constructor writes in closed form,
-so the layer is integer-only.  Sign tests w^{-1}(alpha_i) < 0 become
-coordinate checks, and length-0 detection is "is a simple-root permutation
-matrix".  The pairing (lambda_s, alpha) is [alpha]_s (untwisted and
-A_{2n}^(2)) or d_s [alpha]_s (other twisted types); lambda_s itself is
-never materialized.
+so the layer is integer-only.  Alcove factorization and word inversion sets
+hold each column w(alpha_i) as one packed int, so the sign test
+w^{-1}(alpha_i) < 0 is an int comparison, and length-0 detection is "every
+column is a packed simple root".  The pairing (lambda_s, alpha) is
+[alpha]_s (untwisted and A_{2n}^(2)) or d_s [alpha]_s (other twisted
+types); lambda_s itself is never materialized.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from operator import add
+from types import MappingProxyType
 
-from .cartan import AffineData, Matrix, Vec, _bonds
+from .cartan import AffineData, DimensionMismatch, Matrix, Vec, _bonds
 from .lattice import finite_positive_roots, is_negative, root_norm
 
 
@@ -95,72 +97,125 @@ def translation_minus_lambda(data: AffineData, s: int) -> ExtWeylElt:
     return ExtWeylElt(shift(1), shift(-1))
 
 
-def _reflect_columns(cols: list[Vec], bonds, i: int) -> None:
+# Packed columns: a vector v of length m is the int sum_i v_i 2^(W i) + ht(v) 2^(W m)
+# with W = _WIDTH.  Packing is linear, so a reflection acts on whole columns by
+# integer arithmetic.  Every column the kernel tracks is a real root, whose
+# coordinates all have one sign, that of its height; so the int's sign is the
+# root's, whatever the digits, and |c| < 2^(W(m+1)-1) bounds |ht(v)|, and with it
+# every coordinate, below 2^(W-1): only then do the digits decode exactly.  The
+# packed simple roots need no bound: a one-signed v with height 1 is a unit vector.
+_WIDTH = 32
+
+
+class PackedOverflow(ValueError):
+    """A root column too large for the packed width to be encoded or decoded exactly."""
+
+
+def _pack(v: Vec) -> int:
+    """A root of one sign as a packed int; refused when the width cannot decode it back."""
+    w = _WIDTH
+    h = sum(v)
+    if abs(h) >= 1 << (w - 1):
+        raise PackedOverflow(f"root {v} has height {h}, not below 2^{w - 1}")
+    return sum(x << (w * i) for i, x in enumerate(v)) + (h << (w * len(v)))
+
+
+def _unit_columns(m: int) -> list[int]:
+    """The packed simple roots alpha_0 .. alpha_{m-1}: digit i and the height slot are 1."""
+    w = _WIDTH
+    return [(1 << (w * i)) + (1 << (w * m)) for i in range(m)]
+
+
+def _unpack_positive(cols: list[int], m: int) -> list[Vec]:
+    """Decode positive packed roots, certified exact, slot by slot over all of them."""
+    w = _WIDTH
+    if cols and max(cols) >= 1 << (w * (m + 1) - 1):
+        raise PackedOverflow(f"a root column outgrew the packed width of {w} bits per coordinate")
+    mask = (1 << w) - 1
+    return list(zip(*[[(c >> (w * i)) & mask for c in cols] for i in range(m)]))
+
+
+def _reflect(cols: list[int], bonds_i, i: int) -> None:
     # cols <- cols @ S_i: column j -= a_ij * column i on each bond (j, a_ij), column i negated
     ci = cols[i]
-    for j, a in bonds[i]:
-        cols[j] = tuple([x - a * y for x, y in zip(cols[j], ci)])
-    cols[i] = tuple([-x for x in ci])
+    for j, a in bonds_i:
+        cols[j] -= a * ci
+    cols[i] = -ci
 
 
 def alcove_factorize(data: AffineData, elt: ExtWeylElt):
     """Greedy smallest-index descent: elt = s_{i_1} ... s_{i_l} tau.
 
     Returns (word, tau) with tau a permutation of simple-root indices.
-    Raises NotLengthZeroResidue when elt moves delta or the residue is not
-    a permutation matrix (the input was not an extended-Weyl element).
+    Raises DimensionMismatch when elt does not act on data's rank, and
+    NotLengthZeroResidue when elt moves delta, a column of its inverse is
+    not of one sign, or the residue is not a permutation matrix (the input
+    was not an extended-Weyl element); PackedOverflow when a column of the
+    inverse is too large for the packed width.
     """
-    bonds = _bonds(data.gcm)
+    m = data.rank
+    if len(elt.matrix) != m:
+        raise DimensionMismatch(f"element of size {len(elt.matrix)} for {data.type} of rank {m}")
     # every extended-Weyl element fixes delta; without this check -I would descend forever
     if elt.apply(data.delta) != data.delta:
         raise NotLengthZeroResidue("element does not fix delta")
     # only elt^{-1} is tracked, by columns: cols[i] = elt^{-1}(alpha_i), and
     # letter i is a left descent exactly when that column is negative
-    cols = list(zip(*elt.inverse))
-    neg = [is_negative(c) for c in cols]
+    inverse_cols = list(zip(*elt.inverse))
+    if any(min(c) < 0 < max(c) for c in inverse_cols):
+        raise NotLengthZeroResidue("a column of the inverse is not a root")
+    cols = [_pack(c) for c in inverse_cols]
+    bonds = _bonds(data.gcm)
+    neg = [c < 0 for c in cols]
     word: list[int] = []
     while True in neg:
         i = neg.index(True)
         word.append(i)
-        _reflect_columns(cols, bonds, i)
+        _reflect(cols, bonds[i], i)
         for j, _ in bonds[i]:
-            neg[j] = is_negative(cols[j])
+            neg[j] = cols[j] < 0
         neg[i] = False  # the negated column of a negative one is positive
-    # the residue is tau^{-1} = tau^T, so tau[j] is the column of the single 1 in row j
-    tau: list[int] = []
-    for row in zip(*cols):
-        if 1 not in row or sum(map(abs, row)) != 1:
+    # the residue is tau^{-1} = tau^T: column i is alpha_{tau^{-1}(i)}, so tau[k] = i
+    units = {c: k for k, c in enumerate(_unit_columns(m))}
+    tau = [None] * m
+    for i, c in enumerate(cols):
+        k = units.get(c)
+        if k is None or tau[k] is not None:
             raise NotLengthZeroResidue("residue is not a simple-root permutation")
-        tau.append(row.index(1))
+        tau[k] = i
     return tuple(word), tuple(tau)
 
 
 def inversion_set_from_word(data: AffineData, word) -> list[Vec]:
     """beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}), in word order.
 
-    Raises NotReduced if some beta_k is negative or repeats.
+    Raises NotReduced if some beta_k is negative or repeats, and
+    PackedOverflow if a beta_k is too large for the packed width.
     """
     m = data.rank
     bonds = _bonds(data.gcm)
     # cols[i] = s_{i_1} ... s_{i_{k-1}}(alpha_i), so beta_k is column i_k
-    cols = [tuple(int(i == j) for j in range(m)) for i in range(m)]
-    betas: list[Vec] = []
+    cols = _unit_columns(m)
+    betas: list[int] = []
     seen = set()
     for ik in word:
-        data.check_node(ik, 0)
+        if not 0 <= ik < m:
+            data.check_node(ik, 0)
         beta = cols[ik]
-        if min(beta) < 0 or beta in seen:
-            raise NotReduced(f"word {tuple(word)} is not reduced at beta = {beta}")
+        if beta < 0 or beta in seen:
+            # -beta is positive when beta is negative; both decode to the same coordinates
+            bad = tuple(-x if beta < 0 else x for x in _unpack_positive([abs(beta)], m)[0])
+            raise NotReduced(f"word {tuple(word)} is not reduced at beta = {bad}")
         betas.append(beta)
         seen.add(beta)
-        _reflect_columns(cols, bonds, ik)
-    return betas
+        _reflect(cols, bonds[ik], ik)
+    return _unpack_positive(betas, m)
 
 
 @functools.cache
-def _finite_root_norms(data: AffineData) -> tuple[int, ...]:
-    """(alpha, alpha) for each alpha of finite_positive_roots(data), in its order."""
-    return tuple(root_norm(data, al) for al in finite_positive_roots(data))
+def _finite_root_norms(data: AffineData) -> MappingProxyType[Vec, int]:
+    """alpha -> (alpha, alpha) over finite_positive_roots(data), in its order."""
+    return MappingProxyType({al: root_norm(data, al) for al in finite_positive_roots(data)})
 
 
 def inversion_set_detailed(data: AffineData, s: int):
@@ -171,7 +226,7 @@ def inversion_set_detailed(data: AffineData, s: int):
     """
     data.check_node(s)
     delta = data.delta
-    roots = zip(finite_positive_roots(data), _finite_root_norms(data))
+    roots = _finite_root_norms(data).items()
     out = []
     if data.type.is_a2n2:
         step = tuple(2 * x for x in delta)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loomfold
+from loomfold import folding, weyl
 from loomfold.cartan import build, build_affine, twisted_types
 from loomfold.characters import (
     MAX_DEGREE,
@@ -337,4 +338,12 @@ def test_cached_results_are_immutable():
         parent_positive_roots(sigma_for(d))[0] = (0, 0, 0, 0)
     with pytest.raises(AttributeError):
         bar_inversion_parts(d, 1).clear()
+    fibers = folding._fibers(sigma_for(d))
+    beta = next(iter(fibers))
+    with pytest.raises(TypeError):
+        fibers[beta] = ()
+    with pytest.raises(TypeError):
+        fibers[beta][0] = (0, 0, 0, 0)
+    with pytest.raises(TypeError):
+        weyl._finite_root_norms(d)[(0, 1, 0)] = 0
     assert char_exponents(d, 1) == before != []

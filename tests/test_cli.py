@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loomfold
-from loomfold import characters, cli
+from loomfold import cartan, characters, cli, qsymbolic, weyl
 from loomfold.cartan import all_affine_types
 from loomfold.cli import MAX_DEGREE, ParseError, UnknownType, main, parse_type
 
@@ -155,6 +155,62 @@ def test_qsymbolic_output_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("verify-all", "--degree", "0"),
+     "90409fa436a2a81c498012b8d8ef741905697f6c9caec31aab97adb273fdfb7c"),
+    (("verify-all", "--degree", "12"),
+     "e53b4f2abb06ddc958f6f95b94eb8c14b508ff5060dcb1f2948fc2b470d5fc0f"),
+    (("fold-verify", "--type", "E6~2", "--all"),
+     "b23741efd747659fca2472a995905261cabf9a2e1ee7939527e46aef1c21585d"),
+    (("fold-verify", "--type", "A9~2", "--all"),
+     "99a0b91c9da93006c2dff23ed12bee8738b5833e61e1d75a857b8f0286bb1f57"),
+    (("inversions", "--type", "D5~2", "--node", "4"),
+     "5945040957987443eeec51c78bde633ee810cca4d6ef016a918bbe5d66d8df7a"),
+    (("inversions", "--type", "E8~1", "--node", "4"),
+     "9aa0824ba2557863d5664683d5d0b0e999c670da97a50fdfe2159d64110a671b"),
+])
+def test_weyl_and_folding_output_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_serre_check_is_computed_once(capsys, monkeypatch):
+    run(capsys, "serre-check")
+    monkeypatch.setattr(qsymbolic, "serre_coeff_check", None)  # any call would fail
+    code, out, _ = run(capsys, "serre-check")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_serre_check_failure_exits_one(capsys, monkeypatch):
+    real = qsymbolic.serre_coeff_check
+
+    def failing(case, **kwargs):
+        if case == "i0j1_D":
+            raise qsymbolic.NonzeroCoefficient("coefficient 1 is q")
+        return real(case, **kwargs)
+
+    monkeypatch.setattr(qsymbolic, "serre_coeff_check", failing)
+    cli._serre_report.cache_clear()
+    try:
+        code, out, _ = run(capsys, "serre-check")
+    finally:
+        cli._serre_report.cache_clear()
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    assert doc["cases"]["i0j1_D"] == {"ok": False, "error": "coefficient 1 is q"}
+    assert doc["cases"]["i1j0_D"]["ok"] is True
+
+
+def test_element_of_another_rank_is_a_usage_error(capsys, monkeypatch):
+    # the library raises DimensionMismatch; main turns it into one error line
+    smaller = weyl.translation_minus_lambda(cartan.build("A", 2, 1), 1)
+    monkeypatch.setattr(weyl, "translation_minus_lambda", lambda d, s: smaller)
+    code, out, err = run(capsys, "inversions", "--type", "A3~1", "--node", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: element of size 3 for A3~1 of rank 4\n"
 
 
 def test_repeated_main_calls_are_independent(capsys):

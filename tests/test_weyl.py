@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loomfold
-from loomfold.cartan import all_affine_types, build, build_affine
+from loomfold import weyl
+from loomfold.cartan import DimensionMismatch, all_affine_types, build, build_affine
 from loomfold.folding import sigma_for, verify_fold_identity
 from loomfold.lattice import finite_positive_roots, root_norm
 from loomfold.weyl import (
     ExtWeylElt,
     NotLengthZeroResidue,
     NotReduced,
+    PackedOverflow,
     alcove_factorize,
     braid2_canonical,
     inversion_set_closed_form,
@@ -341,6 +343,39 @@ def test_not_length_zero_residue():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "does not fix delta" in proc.stdout
+
+
+@pytest.mark.parametrize("data_key, elt_key", [(("A", 3, 1), ("A", 2, 1)),
+                                                (("A", 2, 1), ("A", 3, 1))])
+def test_factorize_rejects_element_of_another_rank(data_key, elt_key):
+    # a smaller element used to raise a bare IndexError, a larger one a
+    # misleading "residue is not a simple-root permutation"
+    d, other = build(*data_key), build(*elt_key)
+    with pytest.raises(DimensionMismatch, match=rf"size {other.rank} .* rank {d.rank}"):
+        alcove_factorize(d, translation_minus_lambda(other, 1))
+
+
+def test_packed_width_overflow_raises(monkeypatch):
+    # E8~1 s=5 has roots of height up to 181; at 4 bits per coordinate a
+    # packed column certifies heights below 8 only
+    d = build("E", 8, 1)
+    t = translation_minus_lambda(d, 5)
+    word, _ = alcove_factorize(d, t)
+    small = build("A", 2, 1)
+    small_word, small_tau = alcove_factorize(small, translation_minus_lambda(small, 1))
+    small_betas = inversion_set_from_word(small, small_word)
+    monkeypatch.setattr(weyl, "_WIDTH", 4)
+    with pytest.raises(PackedOverflow):
+        alcove_factorize(d, t)
+    with pytest.raises(PackedOverflow):
+        inversion_set_from_word(d, word)
+    # a word that stops being reduced at a root too large to decode raises
+    # the overflow too: NotReduced names that root
+    with pytest.raises(PackedOverflow):
+        inversion_set_from_word(d, word + word)
+    # the width bounds decoding only: small roots come back unchanged
+    assert alcove_factorize(small, translation_minus_lambda(small, 1)) == (small_word, small_tau)
+    assert inversion_set_from_word(small, small_word) == small_betas
 
 
 NODE_CALLS = {
