@@ -16,8 +16,8 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .cartan import AffineData, Vec
-from .lattice import closure_positive_roots, project_bar
-from .weyl import _finite_root_norms, inversion_set_detailed
+from .lattice import closure_positive_roots
+from .weyl import _finite_parts, _finite_root_norms
 
 
 class NotTwisted(ValueError):
@@ -150,20 +150,19 @@ def _fibers(om: OrbitMap) -> MappingProxyType[Vec, tuple[Vec, ...]]:
 def bar_inversion_parts(data: AffineData, s: int) -> MappingProxyType[Vec, tuple[int, int | None]]:
     """Finite parts of Delta_+(t_{-lambda_s}) with multiplicity and family tag.
 
-    For A_{2n}^(2) the family (1 or 2) is carried alongside each finite part
-    because the same part arises only from one family (families differ in norm).
+    Built from the finite roots alpha with [alpha]_s > 0, without listing the
+    affine roots: multiplicity ceil(p [alpha]_s / gamma) at alpha, family None;
+    for A_{2n}^(2), [alpha]_s at alpha with family 1 and, for short alpha,
+    [alpha]_s at 2 alpha with family 2.  A finite part arises from one family
+    only (families differ in norm); FamilyMismatch says otherwise.
     """
     parts: dict[Vec, tuple[int, int | None]] = {}
-    for v, fam in inversion_set_detailed(data, s):
-        bar = project_bar(data, v)
-        if bar in parts:
-            mult, tag = parts[bar]
-            if tag != fam:
-                raise FamilyMismatch(
-                    f"finite part {bar} of {data.type} s={s} arises from families {tag} and {fam}")
-            parts[bar] = (mult + 1, tag)
-        else:
-            parts[bar] = (1, fam)
+    for part, count, fam, _, _ in _finite_parts(data, s):
+        # each finite root gives one part per family, so a repeat is a second family
+        if part in parts:
+            raise FamilyMismatch(
+                f"finite part {part} of {data.type} s={s} arises from families {parts[part][1]} and {fam}")
+        parts[part] = (count, fam)
     return MappingProxyType(parts)
 
 

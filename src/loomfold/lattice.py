@@ -4,8 +4,8 @@ A lattice vector is a plain tuple of ints indexed by node id 0..n; vectors
 in the finite sublattice (spanned by alpha_1..alpha_n) have coordinate 0
 equal to zero.  Enumeration of the finite positive roots walks the
 reflection closure beta -> beta - <beta, h_i> alpha_i upwards from the
-simple roots, pairing over Dynkin bonds; it doubles as the oracle for the
-Weyl-group computations.
+simple roots, carrying each root's pairings with the simple coroots; it
+doubles as the oracle for the Weyl-group computations.
 """
 
 from __future__ import annotations
@@ -37,26 +37,35 @@ def closure_positive_roots(gcm, nodes) -> list[Vec]:
     gcm may be any symmetrizable Cartan matrix of finite type (full affine
     GCM restricted to `nodes`, or a parent finite matrix).  Vectors are
     full-length tuples, zero outside `nodes`.  The walk starts at the
-    simple roots and only ever steps up, beta -> beta - <beta, h_i> alpha_i
-    with <beta, h_i> < 0: every positive root above a simple one lies one
-    such step above a lower positive root.
+    simple roots and only ever steps up, beta -> beta + k alpha_i with
+    k = -<beta, h_i> > 0: every positive root above a simple one lies one
+    such step above a lower positive root.  Each queued root carries its
+    pairing vector <beta, h_j>, which a step updates by k times column i
+    of the GCM (<alpha_i, h_j> = a_ji), on i and the bonds of i only.
     """
-    m = len(gcm)
-    bonds = _bonds(tuple(map(tuple, gcm)))
-    roots = {tuple(int(j == i) for j in range(m)) for i in nodes}
-    queue = list(roots)
+    # the column bonds of i: the (j, a_ji) with j != i and a_ji != 0
+    col_bonds = _bonds(tuple(zip(*gcm)))
+    roots = set()
+    queue = []
+    for i in nodes:
+        unit = tuple(int(j == i) for j in range(len(gcm)))
+        roots.add(unit)
+        queue.append((unit, tuple(row[i] for row in gcm)))
     while queue:
-        b = queue.pop()
+        b, pairing = queue.pop()
         for i in nodes:
-            # b is zero outside `nodes`, so the pairing may run over every bond
-            pairing = 2 * b[i] + sum(a * b[j] for j, a in bonds[i])
-            if pairing < 0:
+            k = -pairing[i]
+            if k > 0:
                 nb = list(b)
-                nb[i] -= pairing
+                nb[i] += k
                 t = tuple(nb)
                 if t not in roots:
                     roots.add(t)
-                    queue.append(t)
+                    tp = list(pairing)
+                    tp[i] = k  # -k + 2k
+                    for j, a in col_bonds[i]:
+                        tp[j] += k * a
+                    queue.append((t, tp))
     return sorted(roots)
 
 

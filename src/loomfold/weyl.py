@@ -18,7 +18,7 @@ from operator import add
 from types import MappingProxyType
 
 from .cartan import AffineData, DimensionMismatch, Matrix, Vec, _bonds
-from .lattice import finite_positive_roots, is_negative, root_norm
+from .lattice import finite_positive_roots, is_negative
 
 
 class NotLengthZeroResidue(ValueError):
@@ -27,6 +27,11 @@ class NotLengthZeroResidue(ValueError):
 
 class NotReduced(ValueError):
     """A word whose beta_k sequence leaves the positive roots or repeats."""
+
+
+def _shape(mat: Matrix) -> str:
+    widths = sorted({len(row) for row in mat}) or [0]
+    return f"{len(mat)}x{'|'.join(map(str, widths))}"
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -45,12 +50,17 @@ class ExtWeylElt:
     def __post_init__(self):
         a, b = self.matrix, self.inverse
         m = len(a)
-        # entry by entry: the check builds no product or identity matrix
+        if len(b) != m or any(len(row) != m for row in a) or any(len(row) != m for row in b):
+            raise DimensionMismatch(f"matrix of shape {_shape(a)} and inverse of shape {_shape(b)}: "
+                                    "both must be square of one size")
+        # row by row: row i of the product is the combination of b's rows by a's row i
         for i, row in enumerate(a):
-            nonzero = [(k, x) for k, x in enumerate(row) if x]
-            for j in range(m):
-                if sum(x * b[k][j] for k, x in nonzero) != (i == j):
-                    raise NotLengthZeroResidue("inverse is not the integer inverse of the matrix")
+            acc = [0] * m
+            for k, x in enumerate(row):
+                if x:
+                    acc = [u + x * v for u, v in zip(acc, b[k])]
+            if acc[i] != 1 or acc.count(0) != m - 1:
+                raise NotLengthZeroResidue("inverse is not the integer inverse of the matrix")
 
     def apply(self, v: Vec) -> Vec:
         m = self.matrix
@@ -75,8 +85,10 @@ def _scale(data: AffineData, s: int) -> int:
 
 
 def lambda_pairing(data: AffineData, s: int, v: Vec) -> int:
-    """(lambda_s, bar v); integer on the root lattice."""
+    """(lambda_s, bar v); integer on the root lattice.  DimensionMismatch unless len(v) is the rank."""
     data.check_node(s)
+    if len(v) != data.rank:
+        raise DimensionMismatch(f"expected a vector of length {data.rank}, got {len(v)}")
     # bar(alpha_0) = -theta (a_0 = 1), so the alpha_0-coordinate contributes -p*[theta]_s
     return _scale(data, s) * (v[s] - v[0] * data.theta[s])
 
@@ -86,13 +98,22 @@ def translation_minus_lambda(data: AffineData, s: int) -> ExtWeylElt:
 
     Matrix I + delta c^T and inverse t_{lambda_s} = I - delta c^T, with
     c_j = (lambda_s, bar alpha_j); c^T delta = (lambda_s, bar delta) = 0.
+    Only c_s and c_0 are nonzero, so row k is e_k + delta_k c, written
+    from those two pairings.
     """
     m = data.rank
-    c = [lambda_pairing(data, s, tuple(int(t == j) for t in range(m))) for j in range(m)]
+    c_s = lambda_pairing(data, s, tuple(int(t == s) for t in range(m)))
+    c_0 = lambda_pairing(data, s, (1,) + (0,) * (m - 1))
 
     def shift(sign: int) -> Matrix:
-        return tuple(tuple(int(k == j) + sign * data.delta[k] * c[j] for j in range(m))
-                     for k in range(m))
+        rows = []
+        for k, dk in enumerate(data.delta):
+            row = [0] * m
+            row[k] = 1
+            row[0] += sign * dk * c_0
+            row[s] += sign * dk * c_s
+            rows.append(tuple(row))
+        return tuple(rows)
 
     return ExtWeylElt(shift(1), shift(-1))
 
@@ -214,8 +235,49 @@ def inversion_set_from_word(data: AffineData, word) -> list[Vec]:
 
 @functools.cache
 def _finite_root_norms(data: AffineData) -> MappingProxyType[Vec, int]:
-    """alpha -> (alpha, alpha) over finite_positive_roots(data), in its order."""
-    return MappingProxyType({al: root_norm(data, al) for al in finite_positive_roots(data)})
+    """alpha -> (alpha, alpha) over finite_positive_roots(data), in its order.
+
+    (alpha, alpha) = sum_i d_i alpha_i <alpha, h_i>, each pairing taken over
+    the bonds of i, at the nodes where alpha_i != 0.
+    """
+    bonds = _bonds(data.gcm)
+    sym = data.sym
+    norms = {}
+    for al in finite_positive_roots(data):
+        norms[al] = sum(sym[i] * x * (2 * x + sum(a * al[j] for j, a in bonds[i]))
+                        for i, x in enumerate(al) if x)
+    return MappingProxyType(norms)
+
+
+def _finite_parts(data: AffineData, s: int) -> list[tuple[Vec, int, int | None, Vec, Vec]]:
+    """Delta_+(t_{-lambda_s}) grouped by finite part, over the roots with [alpha]_s > 0.
+
+    Each entry (part, count, family, first, step) stands for the count roots
+    first + k step, k = 0 .. count - 1, whose finite part is part.  For
+    A_{2n}^(2): family 1 gives alpha + k delta, and each short alpha also
+    gives family 2, 2 alpha + (2k+1) delta, both with count [alpha]_s.
+    Otherwise family is None and alpha + k gamma delta has count
+    ceil(p [alpha]_s / gamma), gamma = r for long alpha and 1 for short.
+    """
+    data.check_node(s)
+    delta = data.delta
+    roots = [(al, norm) for al, norm in _finite_root_norms(data).items() if al[s]]
+    out = []
+    if data.type.is_a2n2:
+        step = tuple(2 * x for x in delta)
+        for al, norm in roots:
+            out.append((al, al[s], 1, al, delta))
+            if norm == 2:
+                part = tuple(2 * x for x in al)
+                out.append((part, al[s], 2, tuple(map(add, part, delta)), step))
+    else:
+        r = data.type.r
+        p = _scale(data, s)
+        long_step = tuple(r * x for x in delta)
+        for al, norm in roots:
+            gam, step = (r, long_step) if norm == 2 * r else (1, delta)
+            out.append((al, -(-p * al[s] // gam), None, al, step))  # k < p [alpha]_s / gamma
+    return out
 
 
 def inversion_set_detailed(data: AffineData, s: int):
@@ -224,32 +286,11 @@ def inversion_set_detailed(data: AffineData, s: int):
     family is 1 or 2 for A_{2n}^(2) (alpha + k delta vs 2 alpha + (2k+1) delta),
     None otherwise.  All returned vectors are positive affine roots.
     """
-    data.check_node(s)
-    delta = data.delta
-    roots = _finite_root_norms(data).items()
     out = []
-    if data.type.is_a2n2:
-        step = tuple(2 * x for x in delta)
-        for al, norm in roots:
-            v = al
-            for _ in range(al[s]):
-                out.append((v, 1))
-                v = tuple(map(add, v, delta))
-            if norm == 2:
-                v = tuple(2 * x + y for x, y in zip(al, delta))
-                for _ in range(al[s]):
-                    out.append((v, 2))
-                    v = tuple(map(add, v, step))
-    else:
-        r = data.type.r
-        p = _scale(data, s)
-        long_step = tuple(r * x for x in delta)
-        for al, norm in roots:
-            gam, step = (r, long_step) if norm == 2 * r else (1, delta)
-            v = al
-            for _ in range(-(-p * al[s] // gam)):  # k < p [alpha]_s / gamma
-                out.append((v, None))
-                v = tuple(map(add, v, step))
+    for _, count, fam, v, step in _finite_parts(data, s):
+        for _ in range(count):
+            out.append((v, fam))
+            v = tuple(map(add, v, step))
     return out
 
 

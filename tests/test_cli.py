@@ -170,6 +170,13 @@ def test_qsymbolic_output_bytes(capsys, argv, digest):
      "5945040957987443eeec51c78bde633ee810cca4d6ef016a918bbe5d66d8df7a"),
     (("inversions", "--type", "E8~1", "--node", "4"),
      "9aa0824ba2557863d5664683d5d0b0e999c670da97a50fdfe2159d64110a671b"),
+    # the A_{2n}^(2) family rule: 2 alpha + (2k+1) delta over short alpha, xi = 1/2
+    (("fold-verify", "--type", "A8~2", "--all"),
+     "da80bfedb98180e87abec89f2475eed39f4e45f7bb1a02adb217bdfb0a9dd328"),
+    (("inversions", "--type", "A6~2", "--node", "2"),
+     "1b82ffd6df0cace0b29316c7d09d5223dbf982735f130483554ac99eb730a0cb"),
+    (("char", "--type", "A6~2", "--node", "3", "--degree", "12", "--fold-check"),
+     "4344edf3c9a6625dc313737e32ee9b1b8d12e06a21a7b586724fd587d12e7cf4"),
 ])
 def test_weyl_and_folding_output_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

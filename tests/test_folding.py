@@ -9,9 +9,11 @@ from itertools import permutations
 import pytest
 
 import loomfold
-from loomfold.cartan import build, twisted_types, build_affine
+from loomfold import weyl
+from loomfold.cartan import all_affine_types, build, twisted_types, build_affine
 from loomfold.folding import (
     BadAutomorphism,
+    FamilyMismatch,
     IdentityViolation,
     NotInInversionSet,
     NotTwisted,
@@ -22,7 +24,8 @@ from loomfold.folding import (
     verify_fold_identity,
     xi,
 )
-from loomfold.lattice import is_long
+from loomfold.lattice import is_long, project_bar
+from loomfold.weyl import inversion_set_detailed
 
 
 def test_sigma_fixtures():
@@ -176,6 +179,35 @@ def test_xi_a2n2_families():
             assert val == (Fraction(1) if fam == 1 else Fraction(1, 2))
             # doubled short roots are exactly the family-2 parts
             assert (fam == 2) == (beta[s] % 2 == 0 and all(x % 2 == 0 for x in beta))
+
+
+def test_bar_inversion_parts_match_projected_inversion_set():
+    # the definition: project every root of Delta_+(t_{-lambda_s}) to its
+    # finite part, counting multiplicity and keeping the family
+    for at in all_affine_types(12):
+        d = build_affine(at)
+        for s in range(1, d.n + 1):
+            expect = {}
+            for v, fam in inversion_set_detailed(d, s):
+                bar = project_bar(d, v)
+                mult, tag = expect.get(bar, (0, fam))
+                assert tag == fam, (at, s, bar)
+                expect[bar] = (mult + 1, fam)
+            assert dict(bar_inversion_parts(d, s)) == expect, (at, s)
+
+
+def test_family_mismatch_from_crafted_norms(monkeypatch):
+    # no real root system reaches the check: 2 alpha is never a root.  A
+    # table where alpha_1 is short and 2 alpha_1 is a root of its own puts
+    # family 1 and family 2 on the same finite part
+    d = build("A", 2, 2)
+    monkeypatch.setattr(weyl, "_finite_root_norms", lambda data: {(0, 1): 2, (0, 2): 8})
+    bar_inversion_parts.cache_clear()
+    try:
+        with pytest.raises(FamilyMismatch, match=r"\(0, 2\) of A2~2 s=1 arises from families 2 and 1"):
+            bar_inversion_parts(d, 1)
+    finally:
+        bar_inversion_parts.cache_clear()
 
 
 def test_xi_not_in_inversion_set():

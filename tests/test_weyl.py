@@ -327,6 +327,10 @@ def test_not_length_zero_residue():
     singular = ((1, 0, 0), (0, 1, 0), (1, 1, 0))
     with pytest.raises(NotLengthZeroResidue, match="not the integer inverse"):
         ExtWeylElt(singular, eye)
+    # a unit diagonal in the product is not enough: (0, 1, 1) off it
+    shear = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+    with pytest.raises(NotLengthZeroResidue, match="not the integer inverse"):
+        ExtWeylElt(shear, eye)
     # -I is invertible but moves delta; the descent on it never ended, hence
     # the subprocess and its timeout
     script = (
@@ -343,6 +347,47 @@ def test_not_length_zero_residue():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "does not fix delta" in proc.stdout
+
+
+@pytest.mark.parametrize("matrix, inverse, shapes", [
+    (((1,),), ((1, 0), (0, 5)), "1x1 .* 2x2"),
+    (((1, 0),), ((1,),), "1x2 .* 1x1"),
+    (((1, 0), (0, 1)), ((1,),), "2x2 .* 1x1"),  # used to raise a bare IndexError
+    (((1, 0), (0,)), ((1, 0), (0, 1)), r"2x1\|2 .* 2x2"),
+])
+def test_element_rejects_mismatched_shapes(matrix, inverse, shapes):
+    with pytest.raises(DimensionMismatch, match=shapes):
+        ExtWeylElt(matrix, inverse)
+
+
+@pytest.mark.parametrize("length", [2, 6])
+def test_lambda_pairing_rejects_wrong_length(length):
+    # A3~1 has rank 4; a shorter or longer vector used to be paired anyway
+    v = (0, 1) + (0,) * (length - 2)
+    with pytest.raises(DimensionMismatch, match=f"length 4, got {length}"):
+        lambda_pairing(build("A", 3, 1), 1, v)
+
+
+def test_finite_root_norms_match_root_norm():
+    for at in all_affine_types(12):
+        d = build_affine(at)
+        norms = weyl._finite_root_norms(d)
+        assert list(norms) == list(finite_positive_roots(d))
+        assert all(norms[al] == root_norm(d, al) for al in norms), at
+
+
+def test_translation_matches_dense_construction():
+    # the definition: I +- delta c^T with every c_j = (lambda_s, bar alpha_j)
+    for at in all_affine_types(12):
+        d = build_affine(at)
+        m = d.rank
+        units = [tuple(int(t == j) for t in range(m)) for j in range(m)]
+        for s in range(1, d.n + 1):
+            c = [lambda_pairing(d, s, e) for e in units]
+            t = translation_minus_lambda(d, s)
+            for sign, mat in ((1, t.matrix), (-1, t.inverse)):
+                assert mat == tuple(tuple(int(k == j) + sign * d.delta[k] * c[j] for j in range(m))
+                                    for k in range(m)), (at, s, sign)
 
 
 @pytest.mark.parametrize("data_key, elt_key", [(("A", 3, 1), ("A", 2, 1)),
