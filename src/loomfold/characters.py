@@ -146,10 +146,6 @@ class _TermItems(ItemsView):
             yield from s.height_terms(h).items()
 
 
-def one(rank: int, degree: int) -> CharSeries:
-    return CharSeries.from_terms(rank, degree, {tuple([0] * (rank + 1)): 1})
-
-
 def product_from_exponents(exponents, rank: int, degree: int) -> CharSeries:
     """Expand prod (1 - e^{-beta})^{-e} over (beta, e) pairs to the given height."""
     if degree < 0:

@@ -114,9 +114,7 @@ def cmd_inversions(args) -> int:
     d = _data(args)
     s = d.check_node(args.node)
     out: dict = {"type": str(d.type), "node": s, "method": args.method}
-    closed = weyl.inversion_set_closed_form(d, s)
-    word, tau = weyl.alcove_factorize(d, weyl.translation_minus_lambda(d, s))
-    betas = weyl.inversion_set_from_word(d, word)
+    word, tau, betas, closed = verify.oracle(d, s)
     if args.method in ("word", "both"):
         out["word"] = list(word)
         out["tau"] = list(tau)
@@ -167,11 +165,7 @@ def cmd_char(args) -> int:
     }
     code = 0
     if args.fold_check:
-        om = folding.sigma_for(d)
-        parent = characters.product_from_exponents(
-            folding.parent_char_exponents(om, s), om.parent_rank, degree)
-        folded = characters.fold_series(parent, om, degree)
-        rep = characters.series_equal(folded, ser, degree)
+        rep = verify.series_check(d, s, degree, ser)
         out["fold_check"] = {"equal": rep.equal,
                              "witness": None if rep.witness is None else
                              {"monomial": _monomial_key(rep.witness[0]),
@@ -217,7 +211,8 @@ def cmd_eta(args) -> int:
         "b": case.b.json_map(), "c": case.c.json_map(), "eta": case.eta.json_map(),
         "cancellation_ok": case.cancellation_ok,
         # the two module realizations shift the spectral parameter with
-        # opposite signs; carried as metadata, never resolved numerically
+        # opposite signs; verify-all's qsymbolic cell checks that a*eta is
+        # the pole of Psi(z) = omega / (1 - a*eta z)
         "spectral_shift": {"negative_module": "a*eta", "positive_module": "-a*eta"},
     })
     return 0 if case.cancellation_ok else 1

@@ -33,7 +33,7 @@ class FamilyMismatch(ValueError):
 
 
 class NotInInversionSet(ValueError):
-    """xi evaluated outside bar(Delta_+(t_{-lambda_s}))."""
+    """A parent node outside the orbit behind the twisted node s."""
 
 
 class IdentityViolation(ValueError):
@@ -81,7 +81,13 @@ def _parent_gcm(family: str, N: int) -> list[list[int]]:
 
 
 def sigma_for(data: AffineData) -> OrbitMap:
-    """The diagram automorphism behind a twisted type, with its orbits."""
+    """The diagram automorphism behind a twisted type, with its orbits; built once per type."""
+    # stays a plain function: span tracers wrap plain functions only, not functools.cache objects
+    return _sigma_for(data)
+
+
+@functools.cache
+def _sigma_for(data: AffineData) -> OrbitMap:
     t = data.type
     if t.r == 1:
         raise NotTwisted(f"{t} is untwisted")
@@ -171,25 +177,13 @@ _fraction = functools.cache(Fraction)
 
 
 def _xi_value(data: AffineData, s: int, beta: Vec, family: int | None) -> Fraction:
+    """xi_s(beta) = d_s / gamma_beta, gamma_beta = r for long beta and 1 else; for
+    A_{2n}^(2), 1 on the alpha + k delta family and 1/2 on 2 alpha + (2k+1) delta."""
     if data.type.is_a2n2:
         return _fraction(1) if family == 1 else _fraction(1, 2)
     # long roots have norm 2r, short ones 2
     gam = data.type.r if _finite_root_norms(data)[beta] == 2 * data.type.r else 1
     return _fraction(data.sym[s], gam)
-
-
-def xi(data: AffineData, s: int, beta: Vec, family: int | None = None) -> Fraction:
-    """The exponent correction xi_s(beta) for beta in bar(Delta_+(t_{-lambda_s})).
-
-    Non-A_{2n}^(2): d_s / gamma_beta with gamma_beta = r for long beta, 1 else.
-    A_{2n}^(2): 1 on the alpha + k delta family, 1/2 on 2 alpha + (2k+1) delta.
-    """
-    parts = bar_inversion_parts(data, s)
-    if beta not in parts:
-        raise NotInInversionSet(f"{beta} not in bar(Delta_+(t_-lambda_{s})) of {data.type}")
-    if data.type.is_a2n2 and family is None:
-        family = parts[beta][1]
-    return _xi_value(data, s, beta, family)
 
 
 @dataclass(frozen=True)

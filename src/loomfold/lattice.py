@@ -15,27 +15,36 @@ import functools
 from .cartan import AffineData, IndexOutOfRange, Vec, _bonds, bilinear
 
 
-def coeff(v: Vec, s: int) -> int:
-    """The coefficient [v]_s of alpha_s."""
-    if not 0 <= s < len(v):
-        raise IndexOutOfRange(f"node {s} not in 0..{len(v) - 1}")
-    return v[s]
-
-
-def height(v: Vec) -> int:
-    return sum(v)
-
-
 def is_negative(v: Vec) -> bool:
     """v is nonzero with no positive coordinate."""
     return max(v) <= 0 and min(v) < 0
 
 
+class NotFiniteType(ValueError):
+    """A Cartan matrix block that is not of finite type, so has infinitely many roots."""
+
+
+def _check_finite_type(gcm, nodes) -> None:
+    """Sylvester's test on the block of a symmetrizable gcm on `nodes`: Bareiss
+    elimination without row exchanges leaves the k-th leading principal minor
+    as the k-th pivot, and each has the sign of the symmetrized block's."""
+    a = [[gcm[i][j] for j in nodes] for i in nodes]
+    prev = 1
+    for k, row in enumerate(a):
+        if row[k] <= 0:
+            raise NotFiniteType(f"block on nodes {list(nodes)} not of finite type: minor {k + 1} is {row[k]}")
+        for lower in a[k + 1:]:
+            lower[k + 1:] = [(row[k] * x - lower[k] * y) // prev
+                             for x, y in zip(lower[k + 1:], row[k + 1:])]
+        prev = row[k]
+
+
 def closure_positive_roots(gcm, nodes) -> list[Vec]:
     """Positive roots of the subsystem on `nodes`, by reflection closure.
 
-    gcm may be any symmetrizable Cartan matrix of finite type (full affine
-    GCM restricted to `nodes`, or a parent finite matrix).  Vectors are
+    gcm may be any symmetrizable Cartan matrix whose block on `nodes` is of
+    finite type (full affine GCM restricted to `nodes`, or a parent finite
+    matrix); any other block raises NotFiniteType.  Vectors are
     full-length tuples, zero outside `nodes`.  The walk starts at the
     simple roots and only ever steps up, beta -> beta + k alpha_i with
     k = -<beta, h_i> > 0: every positive root above a simple one lies one
@@ -43,6 +52,7 @@ def closure_positive_roots(gcm, nodes) -> list[Vec]:
     pairing vector <beta, h_j>, which a step updates by k times column i
     of the GCM (<alpha_i, h_j> = a_ji), on i and the bonds of i only.
     """
+    _check_finite_type(gcm, nodes)
     # the column bonds of i: the (j, a_ji) with j != i and a_ji != 0
     col_bonds = _bonds(tuple(zip(*gcm)))
     roots = set()

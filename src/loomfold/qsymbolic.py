@@ -10,7 +10,6 @@ throughout; a is never specialized to a number.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -20,28 +19,6 @@ class NonzeroCoefficient(ValueError):
 
 class NonIntegerCoefficient(ValueError):
     """A LaurentPoly coefficient that is not an int, such as 1/2 or 0.5."""
-
-
-class NonIntegerStep(ValueError):
-    """A Drinfeld index spacing a_i^v / a_i above 1 that is not an integer."""
-
-
-def drinfeld_step(data, i: int) -> int:
-    """Index spacing of the loop generators at node i.
-
-    1 for untwisted types and the even twisted A-family, max(1, a_i^v / a_i)
-    otherwise; equals a multiple of r exactly at the sigma-fixed nodes.
-    """
-    if data.type.is_untwisted or data.type.is_a2n2:
-        return 1
-    num, den = data.dual_kac[i], data.kac[i]
-    if num <= den:
-        return 1
-    step, rem = divmod(num, den)
-    if rem:
-        g = math.gcd(num, den)
-        raise NonIntegerStep(f"a_{i}^v / a_{i} = {num // g}/{den // g} is not an integer in {data.type}")
-    return step
 
 
 class LaurentPoly:

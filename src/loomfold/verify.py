@@ -1,16 +1,32 @@
-"""The verification sweep of `loomfold verify-all`, one generator per suite.
+"""The checks of `loomfold verify-all`, one implementation each, and its suites.
 
-Each generator yields `(suite, label, ok, detail)` cells, and `cells` chains
-them in verify-all's order; the tests iterate the same generators.  Layer
-functions are called through their modules, so that a tracer which replaces
-them there also sees the calls made from here.
+`oracle` and `series_check` also serve `inversions` and `char --fold-check`.
+Each suite generator yields `(suite, label, ok, detail)` cells, and `cells`
+chains them in verify-all's order; the tests iterate the same generators.
+Layer functions are called through their modules, so that a tracer which
+replaces them there also sees the calls.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, product
 
 from . import cartan, characters, folding, pbw, qsymbolic, weyl
+
+
+def oracle(d, s: int):
+    """(word, tau, betas in word order, closed form) for t_{-lambda_s}."""
+    word, tau = weyl.alcove_factorize(d, weyl.translation_minus_lambda(d, s))
+    return word, tau, weyl.inversion_set_from_word(d, word), weyl.inversion_set_closed_form(d, s)
+
+
+def series_check(d, s: int, degree: int, twisted) -> characters.EqualityReport:
+    """The folded parent series of twisted node s against `twisted` up to `degree`."""
+    om = folding.sigma_for(d)
+    parent = characters.product_from_exponents(
+        folding.parent_char_exponents(om, s), om.parent_rank, degree)
+    folded = characters.fold_series(parent, om, degree)
+    return characters.series_equal(folded, twisted, degree)
 
 
 def oracle_cells():
@@ -19,9 +35,7 @@ def oracle_cells():
     for at in cartan.all_affine_types(8):
         d = cartan.build_affine(at)
         for s in range(1, d.n + 1):
-            word, tau = weyl.alcove_factorize(d, weyl.translation_minus_lambda(d, s))
-            betas = weyl.inversion_set_from_word(d, word)
-            closed = weyl.inversion_set_closed_form(d, s)
+            word, tau, betas, closed = oracle(d, s)
             ok = (set(betas) == set(closed) and len(word) == len(closed)
                   and word[0] == s and word[-1] == tau[0])
             yield "oracle", f"{at} s={s}", ok, f"l={len(word)}"
@@ -46,12 +60,8 @@ def series_cells(degree: int, max_n: int = 8):
     `degree`, on every twisted node with n <= max_n (110 cells at 8)."""
     for at in cartan.twisted_types(max_n):
         d = cartan.build_affine(at)
-        om = folding.sigma_for(d)
         for s in range(1, d.n + 1):
-            parent = characters.product_from_exponents(
-                folding.parent_char_exponents(om, s), om.parent_rank, degree)
-            folded = characters.fold_series(parent, om, degree)
-            rep = characters.series_equal(folded, characters.char_product(d, s, degree), degree)
+            rep = series_check(d, s, degree, characters.char_product(d, s, degree))
             yield "series", f"{at} s={s} D={degree}", rep.equal, str(rep.witness or "")
 
 
@@ -69,20 +79,35 @@ def pbw_cells():
         yield "pbw", f"{d.type} s={s}", ok, f"edges={len(g.edges)}"
 
 
+def _eta_failure(family: str, n: int, o: int) -> str:
+    """What fails for eta_case(family, n, o), or "" when nothing does."""
+    case = qsymbolic.eta_case(family, n, o)
+    psi = qsymbolic.psi_from_bc("omega", case.b, case.c, o)
+    if not case.cancellation_ok:
+        return "eta cancellation fails"
+    if psi.kind != "pole":
+        return f"Psi(z) is {psi.kind}, not a single pole"
+    if psi.den[1] != -(qsymbolic.a_param() * case.eta):
+        return "the pole of Psi(z) is not at z = 1/(a*eta)"
+    if psi.expand(6) != qsymbolic.psi_series_direct(case.b, case.c, o, 1, 6):
+        return "Psi(z) expands differently from the direct series"
+    return ""
+
+
 def qsymbolic_cells():
-    """One cell: the quantum Serre cancellations, then the eta cancellation
-    for n = 2..10 in both minuscule twisted families."""
+    """One cell: the quantum Serre cancellations, then, for n = 2..10, both minuscule
+    families and o = +-1, the eta cancellation and Psi(z) = omega / (1 - a eta z)."""
     try:
         qsymbolic.serre_coeff_check("i1j0_D")
         qsymbolic.serre_coeff_check("i0j1_D")
     except qsymbolic.NonzeroCoefficient as exc:
         yield "qsymbolic", "identities", False, str(exc)
         return
-    for n in range(2, 11):
-        for family in ("A2n-1~2", "Dn+1~2"):
-            if not qsymbolic.eta_case(family, n).cancellation_ok:
-                yield "qsymbolic", "identities", False, f"eta cancellation fails for {family} n={n}"
-                return
+    for n, family, o in product(range(2, 11), ("A2n-1~2", "Dn+1~2"), (1, -1)):
+        why = _eta_failure(family, n, o)
+        if why:
+            yield "qsymbolic", "identities", False, f"{why} for {family} n={n} o={o}"
+            return
     yield "qsymbolic", "identities", True, ""
 
 

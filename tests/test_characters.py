@@ -25,7 +25,6 @@ from loomfold.characters import (
     char_exponents,
     char_product,
     fold_series,
-    one,
     product_from_exponents,
     series_equal,
 )
@@ -124,7 +123,7 @@ def test_fold_series_a22_example():
     parent = product_from_exponents(exps, 2, 10)
     folded = fold_series(parent, om, 10)
     assert series_equal(folded, char_product(d, 1, 10), 10).equal
-    assert fold_series(one(2, 10), om, 10).terms == {(0, 0): 1}
+    assert fold_series(CharSeries.from_terms(2, 10, {(0, 0, 0): 1}), om, 10).terms == {(0, 0): 1}
 
 
 def test_fold_series_rejects_wrong_rank():

@@ -22,7 +22,6 @@ from loomfold.folding import (
     parent_positive_roots,
     sigma_for,
     verify_fold_identity,
-    xi,
 )
 from loomfold.lattice import is_long, project_bar
 from loomfold.weyl import inversion_set_detailed
@@ -109,6 +108,12 @@ def test_not_twisted():
         sigma_for(build("A", 3, 1))
 
 
+def test_sigma_for_built_once_per_type():
+    for at in twisted_types(4):
+        d = build_affine(at)
+        assert sigma_for(d) is sigma_for(d)
+
+
 def test_fold_root_linearity_and_sigma_compat():
     for at in twisted_types(6):
         om = sigma_for(build_affine(at))
@@ -164,19 +169,25 @@ XI_TABLES = {
 
 
 def test_xi_case_tables():
+    # the xi that fold-verify prints, one entry per part of bar(Delta_+)
     for (key, s), table in XI_TABLES.items():
         d = build(*key)
-        for beta in bar_inversion_parts(d, s):
-            expect = table["long"] if is_long(d, beta) else table["short"]
-            assert xi(d, s, beta) == expect, (key, s, beta)
+        report = verify_fold_identity(d, s)
+        assert [e.beta for e in report] == sorted(bar_inversion_parts(d, s))
+        for e in report:
+            expect = table["long"] if is_long(d, e.beta) else table["short"]
+            assert e.xi == expect, (key, s, e.beta)
 
 
 def test_xi_a2n2_families():
     d = build("A", 4, 2)
     for s in (1, 2):
-        for beta, (_, fam) in bar_inversion_parts(d, s).items():
-            val = xi(d, s, beta, fam)
-            assert val == (Fraction(1) if fam == 1 else Fraction(1, 2))
+        parts = bar_inversion_parts(d, s)
+        report = verify_fold_identity(d, s)
+        assert [e.beta for e in report] == sorted(parts)
+        for e in report:
+            beta, fam = e.beta, parts[e.beta][1]
+            assert e.xi == (Fraction(1) if fam == 1 else Fraction(1, 2))
             # doubled short roots are exactly the family-2 parts
             assert (fam == 2) == (beta[s] % 2 == 0 and all(x % 2 == 0 for x in beta))
 
@@ -208,12 +219,6 @@ def test_family_mismatch_from_crafted_norms(monkeypatch):
             bar_inversion_parts(d, 1)
     finally:
         bar_inversion_parts.cache_clear()
-
-
-def test_xi_not_in_inversion_set():
-    d = build("A", 5, 2)
-    with pytest.raises(NotInInversionSet):
-        xi(d, 1, (0, 0, 1, 0))  # alpha_2 has no alpha_1 component
 
 
 def test_fold_identity_e62_s2_fixture():

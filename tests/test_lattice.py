@@ -1,4 +1,4 @@
-"""Root enumeration, projections, and coefficient extraction."""
+"""Root enumeration, the finite-type guard, and projections."""
 
 import pytest
 
@@ -6,10 +6,9 @@ from loomfold.cartan import all_affine_types, bilinear, build, build_affine, twi
 from loomfold.folding import sigma_for
 from loomfold.lattice import (
     IndexOutOfRange,
+    NotFiniteType,
     closure_positive_roots,
-    coeff,
     finite_positive_roots,
-    height,
     project_bar,
     root_norm,
 )
@@ -136,6 +135,18 @@ def test_closure_matches_naive_reference():
     assert {(24, 300), (12, 144), (12, 132), (8, 120)} <= sizes
 
 
+def test_closure_rejects_non_finite_blocks():
+    # the full affine GCMs have determinant 0, so the walk would never stop
+    for key, order in ((("A", 2, 1), 3), (("D", 4, 1), 5)):
+        d = build(*key)
+        with pytest.raises(NotFiniteType, match=f"not of finite type: minor {order} is 0"):
+            closure_positive_roots(d.gcm, range(d.rank))
+    # a hyperbolic rank-2 block: 2*2 - 3*3 < 0
+    with pytest.raises(NotFiniteType, match="minor 2 is -5"):
+        closure_positive_roots(((2, -3), (-3, 2)), range(2))
+    assert issubclass(NotFiniteType, ValueError)
+
+
 def test_two_length_classes():
     for at in all_affine_types(8):
         d = build_affine(at)
@@ -174,16 +185,6 @@ def test_project_bar_examples():
     # cross-check via orthogonality: (bar(a0) - a0, x) = 0 for finite x would
     # need the delta direction; instead check (delta, bar(a0)) = 0
     assert bilinear(a52, a52.delta, project_bar(a52, e0)) == 0
-
-
-def test_coeff():
-    v = (0, 1, 2, 1)
-    assert coeff(v, 2) == 2
-    assert coeff((0, 0, 0, 1), 3) == 1
-    d42 = build("D", 4, 2)
-    assert coeff(d42.theta, 3) == 1  # theta = a1+a2+a3
     with pytest.raises(IndexOutOfRange):
-        coeff(v, 4)
-    assert height(v) == 4
-    with pytest.raises(IndexOutOfRange):
-        project_bar(d42, (0, 1))
+        project_bar(build("D", 4, 2), (0, 1))
+

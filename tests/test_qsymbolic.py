@@ -1,10 +1,11 @@
 """q-integers, eta cancellations, l-weights, and the Serre coefficient checks."""
 
+from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
+from loomfold import qsymbolic
 from loomfold.qsymbolic import (
     EtaCase,
     LaurentPoly,
@@ -19,6 +20,7 @@ from loomfold.qsymbolic import (
     qint,
     serre_coeff_check,
 )
+from loomfold.verify import qsymbolic_cells
 
 
 def test_qint_values():
@@ -173,31 +175,39 @@ def test_json_map_deterministic():
     assert m == {"-3": {"1": "1"}, "-5": {"1": "-1"}}
 
 
-def test_drinfeld_step():
-    from loomfold.cartan import build, twisted_types, build_affine
-    from loomfold.folding import sigma_for
-    from loomfold.qsymbolic import drinfeld_step
 
-    d = build("E", 6, 2)
-    assert [drinfeld_step(d, i) for i in range(1, 5)] == [1, 1, 2, 2]
-    assert [drinfeld_step(build("D", 4, 3), i) for i in (1, 2)] == [1, 3]
-    assert drinfeld_step(build("A", 4, 2), 1) == 1
-    assert drinfeld_step(build("B", 3, 1), 2) == 1
-    # sigma fixes node i exactly when r divides the step
-    for at in twisted_types(8):
-        data = build_affine(at)
-        om = sigma_for(data)
-        for t, orb in enumerate(om.orbits, start=1):
-            fixed = len(orb) == 1
-            assert fixed == (drinfeld_step(data, t) % at.r == 0)
-            if not fixed:
-                assert drinfeld_step(data, t) == 1
+def test_qsymbolic_cell_checks_the_pole_of_psi():
+    assert list(qsymbolic_cells()) == [("qsymbolic", "identities", True, "")]
 
 
-def test_drinfeld_step_names_a_non_integer_ratio_in_lowest_terms():
-    from loomfold.qsymbolic import NonIntegerStep, drinfeld_step
 
-    data = SimpleNamespace(type=SimpleNamespace(is_untwisted=False, is_a2n2=False),
-                           kac=(1, 4), dual_kac=(1, 6))
-    with pytest.raises(NonIntegerStep, match="= 3/2 is not an integer"):
-        drinfeld_step(data, 1)
+def _failing_cell(monkeypatch, name, fake):
+    monkeypatch.setattr(qsymbolic, name, fake)
+    [(suite, label, ok, detail)] = qsymbolic_cells()
+    assert (suite, label, ok) == ("qsymbolic", "identities", False)
+    return detail
+
+
+@pytest.mark.parametrize("doubled, where", [((1, -1), "A2n-1~2 n=2 o=1"),
+                                            ((-1,), "A2n-1~2 n=2 o=-1")])
+def test_qsymbolic_cell_names_a_psi_that_is_no_pole(monkeypatch, doubled, where):
+    # doubling c leaves c + b (q^-1 - q^-3) = c, so Psi(z) has a numerator
+    def psi(omega, b, c, o=1, d=1, d_twist=1):
+        return psi_from_bc(omega, b, 2 * c if o in doubled else c, o, d, d_twist)
+    detail = _failing_cell(monkeypatch, "psi_from_bc", psi)
+    assert detail == f"Psi(z) is generic, not a single pole for {where}"
+
+
+def test_qsymbolic_cell_names_a_pole_away_from_a_eta(monkeypatch):
+    def case(family, n, o=1):
+        ec = eta_case(family, n, o)
+        return replace(ec, eta=2 * ec.eta) if (family, n, o) == ("Dn+1~2", 7, -1) else ec
+    detail = _failing_cell(monkeypatch, "eta_case", case)
+    assert detail == "the pole of Psi(z) is not at z = 1/(a*eta) for Dn+1~2 n=7 o=-1"
+
+
+def test_qsymbolic_cell_names_a_series_mismatch(monkeypatch):
+    def direct(b, c, o, d, nterms):
+        return psi_series_direct(b, c, o, d, nterms - 1) + [LaurentPoly.zero()]
+    detail = _failing_cell(monkeypatch, "psi_series_direct", direct)
+    assert detail == "Psi(z) expands differently from the direct series for A2n-1~2 n=2 o=1"
