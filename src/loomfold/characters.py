@@ -17,7 +17,14 @@ The product kernel applies each factor (1 - e^{-beta})^{-e} as e in-place
 divisions by (1 - e^{-beta}): walking the heights upwards, every c[k] is
 added into c[k + key(beta)].  A factor taller than the truncation only
 contributes its constant term 1 and is skipped.  Each division is exact
-and the divisions commute, so the product does not depend on factor order.
+and the divisions commute, so the product does not depend on factor order;
+the kernel applies the tallest factors first, while the heights they read
+are still sparse.
+
+The fold sums digits of a key into the digits of the twisted nodes.  The
+leading parent slots that are their own twisted node keep their digits
+when the cut keeps the base, so only the high part of a key is rewritten,
+by one shift per distinct high part.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ class RankMismatch(ValueError):
 
 
 class NegativeDegree(ValueError):
-    """A product truncated below height 0."""
+    """A product, fold or comparison truncated below height 0."""
 
 
 class DegreeAboveCap(ValueError):
@@ -54,8 +61,8 @@ class MultiplicityMismatch(ValueError):
 
 
 # the series work grows polynomially in the degree, with the rank in the
-# exponent; at 24, on a 2-vCPU Xeon VM, verify-all takes about 14 s and
-# 47 MB, and the largest char query measured (A64~1 node 32) 7.5 s and 250 MB
+# exponent; at 24, on a 2-vCPU Xeon VM, verify-all takes about 5 s and
+# 37 MB, and the largest char query measured (A64~1 node 32) 5.6 s and 205 MB
 MAX_DEGREE = 24
 
 
@@ -153,8 +160,7 @@ def product_from_exponents(exponents, rank: int, degree: int) -> CharSeries:
     if degree > MAX_DEGREE:
         raise DegreeAboveCap(f"degree {degree} is above the cap {MAX_DEGREE}")
     base = degree + 1
-    buckets = tuple({} for _ in range(base))
-    buckets[0][0] = 1
+    factors = []
     for beta, e in exponents:
         if e < 0:
             raise NonIntegerExponent(f"negative exponent {e} at {beta}")
@@ -166,7 +172,14 @@ def product_from_exponents(exponents, rank: int, degree: int) -> CharSeries:
             raise NotPositiveRoot(f"factor root {beta} has height {hb} or a negative coordinate")
         if len(beta) != rank + 1:
             raise RankMismatch(f"factor root {beta} has {len(beta)} slots, not {rank + 1}")
-        kb = _pack(beta, base)
+        factors.append((hb, _pack(beta, base), e))
+    # tallest first (a stable sort): a factor of height hb reads heights
+    # <= degree - hb only, which stay sparse while few factors are in, so
+    # only the short factors pass over the full series
+    factors.sort(key=lambda f: f[0], reverse=True)
+    buckets = tuple({} for _ in range(base))
+    buckets[0][0] = 1
+    for hb, kb, e in factors:
         for _ in range(e):
             # divide by (1 - x^beta): ascending heights, so c[k] is final when read
             for h in range(base - hb):
@@ -209,9 +222,15 @@ def fold_series(series: CharSeries, om: OrbitMap, degree: int) -> CharSeries:
     """Apply pi: e^{-alpha_i} -> e^{-alpha_{bar i}} by orbit-summing exponents.
 
     Folding keeps the height, so the cut at `degree` takes buckets
-    0..degree.  Each key is split into pairs of input digits, and one table
-    per pair gives that pair's folded contribution in the output base.
+    0..degree.  When the output base equals the input base, the leading
+    parent slots that are their own twisted node (0..n for A and D, 0..3
+    for E6~2, 0..2 for D4~3) already hold their folded digits, so only the
+    high part k // base**p of a key is rewritten: the folded key is
+    k + shift[k // base**p], with shift filled once per distinct high part.
+    When the bases differ, the prefix is empty and whole keys are folded.
     """
+    if degree < 0:
+        raise NegativeDegree(f"fold degree {degree} < 0")
     if series.rank != om.parent_rank:
         raise RankMismatch(f"series of rank {series.rank} folded by a rank-{om.parent_rank} orbit map")
     if series.degree < degree:
@@ -221,19 +240,27 @@ def fold_series(series: CharSeries, om: OrbitMap, degree: int) -> CharSeries:
         for i in orb:
             node[i] = t
     bi, bo = series.degree + 1, degree + 1
-    weights = [bo ** t for t in node] + [0]
-    tables = [[a * w0 + b * w1 for b in range(bi) for a in range(bi)]
-              for w0, w1 in zip(weights[0::2], weights[1::2])]
-    bi2 = bi * bi
+    p = 0
+    if bi == bo:
+        while p < len(node) and node[p] == p:
+            p += 1
+    top = bi ** p
+    weights = [bo ** t for t in node[p:]]
+    shift: dict[int, int] = {}           # high part -> folded high part - high part * top
     out = []
     for bucket in series.buckets[:bo]:
         fb: dict = {}
         for k, c in bucket.items():
-            f = 0
-            for t in tables:
-                k, r = divmod(k, bi2)
-                f += t[r]
-            fb[f] = fb.get(f, 0) + c
+            hi = k // top
+            d = shift.get(hi)
+            if d is None:
+                f, r = 0, hi
+                for w in weights:
+                    r, digit = divmod(r, bi)
+                    f += digit * w
+                d = shift[hi] = f - hi * top
+            k += d
+            fb[k] = fb.get(k, 0) + c
         out.append(fb)
     return CharSeries(rank=om.twisted.n, degree=degree, buckets=tuple(out))
 
@@ -246,6 +273,8 @@ class EqualityReport:
 
 def series_equal(a: CharSeries, b: CharSeries, degree: int) -> EqualityReport:
     """Exact coefficient comparison up to the given height, with first divergence."""
+    if degree < 0:
+        raise NegativeDegree(f"comparison degree {degree} < 0")
     if a.rank != b.rank:
         raise RankMismatch(f"rank {a.rank} vs {b.rank}")
     if a.degree < degree or b.degree < degree:

@@ -95,7 +95,7 @@ def _dump(obj) -> None:
 
 
 def _monomial_key(m) -> str:
-    return ",".join(str(x) for x in m[1:])
+    return ",".join(map(str, m[1:]))
 
 
 def cmd_cartan(args) -> int:
@@ -161,7 +161,8 @@ def cmd_char(args) -> int:
     ser = characters.char_product(d, s, degree)
     out: dict = {
         "type": str(d.type), "node": s, "degree": degree,
-        "series": {_monomial_key(m): c for m, c in sorted(ser.terms.items())},
+        # unsorted: _json sorts the keys
+        "series": {_monomial_key(m): c for m, c in ser.terms.items()},
     }
     code = 0
     if args.fold_check:

@@ -133,6 +133,16 @@ def test_fold_series_rejects_wrong_rank():
         fold_series(char_product(d, 1, 6), sigma_for(d), 6)
 
 
+def naive_fold(ser, om, degree):
+    """Independent oracle: fold_root on every monomial of height <= degree, summed."""
+    out = {}
+    for m, c in ser.terms.items():
+        if sum(m) <= degree:
+            fm = fold_root(om, m)
+            out[fm] = out.get(fm, 0) + c
+    return out
+
+
 # the orbit maps of parent rank <= 3, by parent rank (no twisted type has rank 1)
 FOLD_MAPS = {om.parent_rank: om for om in (sigma_for(build("A", 2, 2)), sigma_for(build("D", 3, 2)))}
 
@@ -156,12 +166,35 @@ def test_kernel_and_fold_match_naive(case):
     assert ser.terms == brute_force_product(exps, rank, degree)
     if om is not None:
         # the fold degree may be below the series degree: different key bases
-        naive = {}
-        for m, c in ser.terms.items():
-            if sum(m) <= fold_degree:
-                fm = fold_root(om, m)
-                naive[fm] = naive.get(fm, 0) + c
-        assert fold_series(ser, om, fold_degree).terms == naive
+        assert fold_series(ser, om, fold_degree).terms == naive_fold(ser, om, fold_degree)
+
+
+@pytest.mark.parametrize("fold_degree", [8, 5])
+@pytest.mark.parametrize("key, s", [
+    (("A", 5, 2), 2), (("A", 6, 2), 3), (("D", 5, 2), 3), (("E", 6, 2), 2), (("D", 4, 3), 1),
+])
+def test_fold_series_matches_per_monomial_fold(key, s, fold_degree):
+    # self-folded prefixes of lengths 4, 4, 5, 4 and 3 slots (order-3 sigma
+    # on D4~3); below the series degree the bases differ and the prefix is empty
+    om = sigma_for(build(*key))
+    ser = product_from_exponents(parent_char_exponents(om, s), om.parent_rank, 8)
+    assert fold_series(ser, om, fold_degree).terms == naive_fold(ser, om, fold_degree)
+
+
+def test_negative_degree_rejected_before_any_work():
+    om = sigma_for(build("A", 2, 2))
+    ser = product_from_exponents(parent_char_exponents(om, 1), 2, 6)
+    a = CharSeries.from_terms(1, 4, {(0, 0): 1})
+    b = CharSeries.from_terms(1, 4, {(0, 1): 1})
+    with pytest.raises(NegativeDegree):
+        fold_series(ser, om, -1)
+    # checked before the rank: a rank-1 series through a rank-2 orbit map
+    with pytest.raises(NegativeDegree):
+        fold_series(a, om, -1)
+    # a comparison of nothing must not report a pass
+    for x, y in ((a, b), (a, a), (a, CharSeries.from_terms(2, 4, {}))):
+        with pytest.raises(NegativeDegree):
+            series_equal(x, y, -1)
 
 
 def test_fold_series_truncates_deeper_series():
