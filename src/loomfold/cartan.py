@@ -85,7 +85,6 @@ class AffineData:
 # Edge kinds: 1 = single bond; k in {2, 3, 4} = k-fold bond with the arrow
 # pointing at the second node (which is the shorter root); "both2" is the
 # A_1^(1) double bond with arrows both ways (a_ij = a_ji = -2).
-_SINGLE = 1
 
 
 def _diagram(family: str, N: int, r: int):
@@ -165,79 +164,46 @@ def _gcm_from_edges(m: int, edges) -> list[list[int]]:
     return a
 
 
-def _rref(rows) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+def _leading_minors(a) -> list[list[int]]:
+    """Bareiss elimination of a square integer matrix without row exchanges.
 
-    Returns the reduced rows and the pivot column of each leading row, in
-    order; a leading row is zero in every other pivot column, and the rows
-    after those are zero.  Each updated row is divided by its content, so
-    the entries stay small.
+    Returns the eliminated rows, up to and including the first whose pivot
+    is not positive: row k is zero left of column k, and its pivot rows[k][k]
+    is the (k+1)-th leading principal minor.  Every division is exact.
     """
-    rows = [list(row) for row in rows]
-    pivots: list[int] = []
-    for c in range(len(rows[0])):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        top = rows[r]
-        pv = top[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                row = [pv * x - f * y for x, y in zip(row, top)]
-                g = math.gcd(*row) or 1
-                rows[i] = [x // g for x in row]
-        pivots.append(c)
-    return rows, pivots
-
-
-def _symmetrizer(a: list[list[int]], edges, m: int) -> list[int]:
-    # Solve d_i * a_ij = d_j * a_ji along the (connected) diagram, min d = 1:
-    # d_j = d_i a_ij / a_ji, scaling every d found so far when that is no integer
-    adj: dict[int, list[int]] = {i: [] for i in range(m)}
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    d = [0] * m
-    d[0] = 1
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in adj[i]:
-            if not d[j]:
-                num, den = d[i] * a[i][j], a[j][i]
-                if num % den:
-                    scale = abs(den) // math.gcd(num, den)
-                    d = [x * scale for x in d]
-                    num *= scale
-                d[j] = num // den
-                stack.append(j)
-    g = math.gcd(*d)
-    d = [x // g for x in d]
-    if min(d) != 1:
-        raise InvalidType("symmetrizer normalization failed")
-    return d
+    rows = [list(row) for row in a]
+    prev = 1
+    for k, row in enumerate(rows):
+        p = row[k]
+        if p <= 0:
+            return rows[:k + 1]
+        for lower in rows[k + 1:]:
+            f = lower[k]
+            if f or p != prev:  # else the update leaves the row as it is
+                lower[k:] = [(p * x - f * y) // prev for x, y in zip(lower[k:], row[k:])]
+        prev = p
+    return rows
 
 
 def _primitive_null(a: list[list[int]]) -> list[int]:
-    """Primitive positive integer vector v with a @ v = 0 (kernel is 1-dim)."""
+    """Primitive positive integer vector v with a @ v = 0, for an affine GCM a.
+
+    Every proper subdiagram of an affine diagram is of finite type, so the
+    first m - 1 leading minors are positive and the last, det a, is 0.
+    Back-substitution from v[m-1] = the (m-1)-th minor gives the adjugate
+    solution, integral by Cramer's rule, so each division is exact.
+    """
     m = len(a)
-    rows, pivots = _rref(a)
-    free = [c for c in range(m) if c not in pivots]
-    if len(free) != 1:
+    rows = _leading_minors(a)
+    if len(rows) != m or rows[-1][-1] != 0:
         raise InvalidType("affine GCM must have a 1-dimensional kernel")
-    fc = free[0]
-    # row i reads p_i v[c_i] + row[fc] v[fc] = 0; v[fc] = lcm(p_i) keeps v integral
     v = [0] * m
-    v[fc] = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
-    for row, c in zip(rows, pivots):
-        v[c] = -row[fc] * v[fc] // row[c]
+    v[m - 1] = rows[m - 2][m - 2]
+    for k in range(m - 2, -1, -1):
+        row = rows[k]
+        v[k] = -sum(row[j] * v[j] for j in range(k + 1, m)) // row[k]
     g = math.gcd(*v)
     ints = [x // g for x in v]
-    if ints[0] < 0:
-        ints = [-x for x in ints]
     if any(x <= 0 for x in ints):
         raise InvalidType("null vector of an affine GCM must be positive")
     return ints
@@ -263,11 +229,20 @@ def _build_affine(at: AffineType) -> AffineData:
         raise InvalidType(f"rank mismatch for {at}")
     m = n + 1
     a = _gcm_from_edges(m, edges)
-    d = _symmetrizer(a, edges, m)
     kac = _primitive_null(a)
-    dual = _primitive_null([[a[j][i] for j in range(m)] for i in range(m)])
+    dual = _primitive_null([list(col) for col in zip(*a)])
     if kac[0] != 1:
         raise InvalidType("a_0 = 1 must hold for every affine type")
+    # d_i proportional to a_i^v / a_i (Kac 6.1); a connected GCM has one
+    # symmetrizer up to scale, so the symmetry check certifies d
+    lcm = math.lcm(*kac)
+    d = [x * lcm // y for x, y in zip(dual, kac)]
+    g = math.gcd(*d)
+    d = [x // g for x in d]
+    if min(d) != 1:
+        raise InvalidType("symmetrizer normalization failed")
+    if any(d[i] * a[i][j] != d[j] * a[j][i] for i in range(m) for j in range(i)):
+        raise InvalidType(f"diag(d) * GCM is not symmetric for {at}")
     delta = tuple(kac)
     theta = tuple(delta[i] - (kac[0] if i == 0 else 0) for i in range(m))
     return AffineData(

@@ -66,6 +66,14 @@ class MultiplicityMismatch(ValueError):
 MAX_DEGREE = 24
 
 
+def _check_degree(degree: int) -> None:
+    """Reject a truncation degree below 0 or above MAX_DEGREE, before any allocation."""
+    if degree < 0:
+        raise NegativeDegree(f"truncation degree {degree} < 0")
+    if degree > MAX_DEGREE:
+        raise DegreeAboveCap(f"degree {degree} is above the cap {MAX_DEGREE}")
+
+
 def _pack(m, base: int) -> int:
     k = 0
     for x in reversed(m):
@@ -91,6 +99,7 @@ class CharSeries:
     @classmethod
     def from_terms(cls, rank: int, degree: int, terms) -> CharSeries:
         """The series with the given {exponent tuple: coefficient} terms."""
+        _check_degree(degree)
         series = cls(rank=rank, degree=degree, buckets=tuple({} for _ in range(degree + 1)))
         for m, c in terms.items():
             k = series._key(m)
@@ -155,10 +164,7 @@ class _TermItems(ItemsView):
 
 def product_from_exponents(exponents, rank: int, degree: int) -> CharSeries:
     """Expand prod (1 - e^{-beta})^{-e} over (beta, e) pairs to the given height."""
-    if degree < 0:
-        raise NegativeDegree(f"truncation degree {degree} < 0")
-    if degree > MAX_DEGREE:
-        raise DegreeAboveCap(f"degree {degree} is above the cap {MAX_DEGREE}")
+    _check_degree(degree)
     base = degree + 1
     factors = []
     for beta, e in exponents:

@@ -43,9 +43,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 # affine_type builds an N-long diagram and the Cartan build is O(N^3)
-# fraction-free elimination, so the CLI caps N before calling either; at the
-# cap, on a 2-vCPU Xeon VM, `cartan --type D64~1` takes about 0.2 s and
-# building every type with n <= 64 about 7 s
+# Bareiss elimination, so the CLI caps N before calling either; at the cap,
+# on a 2-vCPU Xeon VM, `cartan --type D64~1` takes about 0.15 s and
+# building every type with n <= 64 about 1.1-1.5 s
 MAX_RANK = 64
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 
-from .cartan import AffineData, IndexOutOfRange, Vec, _bonds, bilinear
+from .cartan import AffineData, IndexOutOfRange, Vec, _bonds, _leading_minors, bilinear
 
 
 def is_negative(v: Vec) -> bool:
@@ -25,18 +25,12 @@ class NotFiniteType(ValueError):
 
 
 def _check_finite_type(gcm, nodes) -> None:
-    """Sylvester's test on the block of a symmetrizable gcm on `nodes`: Bareiss
-    elimination without row exchanges leaves the k-th leading principal minor
-    as the k-th pivot, and each has the sign of the symmetrized block's."""
-    a = [[gcm[i][j] for j in nodes] for i in nodes]
-    prev = 1
-    for k, row in enumerate(a):
-        if row[k] <= 0:
-            raise NotFiniteType(f"block on nodes {list(nodes)} not of finite type: minor {k + 1} is {row[k]}")
-        for lower in a[k + 1:]:
-            lower[k + 1:] = [(row[k] * x - lower[k] * y) // prev
-                             for x, y in zip(lower[k + 1:], row[k + 1:])]
-        prev = row[k]
+    """Sylvester's test on the block of a symmetrizable gcm on `nodes`: each
+    leading principal minor has the sign of the symmetrized block's."""
+    rows = _leading_minors([[gcm[i][j] for j in nodes] for i in nodes])
+    k = len(rows)
+    if rows and rows[-1][k - 1] <= 0:
+        raise NotFiniteType(f"block on nodes {list(nodes)} not of finite type: minor {k} is {rows[-1][k - 1]}")
 
 
 def closure_positive_roots(gcm, nodes) -> list[Vec]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cartan import AffineData, Vec, bilinear
+from .cartan import AffineData, Vec
 from .weyl import alcove_factorize, inversion_set_from_word, translation_minus_lambda
 
 
@@ -82,48 +82,45 @@ class EprimeGraph:
     composite_targets: list = field(default_factory=list)  # (j, i, a): F(beta_a) F(beta_j) -e'_i-> beta_j
 
 
-def _pairing_hits(case: MinusculeCase):
-    data, s = case.data, case.s
-    hits = []
-    for k, beta in enumerate(case.betas, start=1):
-        for i in range(1, data.rank):
-            alpha = tuple(int(t == i) for t in range(data.rank))
-            if bilinear(data, alpha, beta) == data.sym[i] + (1 if i == s else 0):
-                hits.append((k, i))
-    return hits
+def _simple_pairing(data: AffineData, i: int, v: Vec) -> int:
+    """(alpha_i, v) = d_i sum_j a_ij v_j."""
+    return data.sym[i] * sum(a * x for a, x in zip(data.gcm[i], v))
+
+
+def _eprime_hit(case: MinusculeCase, i: int, v: Vec) -> bool:
+    """The pairing condition of the e'_i edge rule: (alpha_i, v) = d_i + delta_{i,s}."""
+    return _simple_pairing(case.data, i, v) == case.data.sym[i] + (i == case.s)
 
 
 def eprime_graph(case: MinusculeCase) -> EprimeGraph:
-    data, s = case.data, case.s
-    m = data.rank
+    m = case.data.rank
     index = {b: k for k, b in enumerate(case.betas, start=1)}
     zero = tuple([0] * m)
     g = EprimeGraph(case=case)
-    for k, i in _pairing_hits(case):
-        beta = case.betas[k - 1]
-        target = tuple(beta[t] - (1 if t == i else 0) for t in range(m))
-        if target == zero:
-            g.edges.append((k, i, 0))
-        elif target in index:
-            g.edges.append((k, i, index[target]))
-        else:
-            g.pairing_misses.append((k, i))
+    for k, beta in enumerate(case.betas, start=1):
+        for i in range(1, m):
+            if not _eprime_hit(case, i, beta):
+                continue
+            target = tuple(beta[t] - (1 if t == i else 0) for t in range(m))
+            if target == zero:
+                g.edges.append((k, i, 0))
+            elif target in index:
+                g.edges.append((k, i, index[target]))
+            else:
+                g.pairing_misses.append((k, i))
     # single-vector preimage completion: a beta_j hit by no edge may still be
     # the image of the product F(alpha_i) F(beta_j), which the derivation rule
     # sends to beta_j exactly when e'_i kills beta_j and e'_i F(alpha_i) = 1
     has_in = {j for (_, _, j) in g.edges}
+    # the (i, a) with beta_a = alpha_i and e'_i F(alpha_i) = 1: the edges into the unit
+    units = sorted((i, a) for a, i, j in g.edges if j == 0)
     for j, beta in enumerate(case.betas, start=1):
         if j in has_in:
             continue
-        for i in range(1, m):
-            alpha = tuple(int(t == i) for t in range(m))
-            if alpha not in index:
-                continue
-            if data.sym[i] != (1 if i == s else 0):   # need (alpha_i, alpha_i) = d_i + delta_{i,s}
-                continue
-            if bilinear(data, alpha, beta) == data.sym[i] + (1 if i == s else 0):
-                continue  # e'_i does not kill beta_j, the product image is not a single vector
-            g.composite_targets.append((j, i, index[alpha]))
+        for i, a in units:
+            # when e'_i does not kill beta_j, the product image is not a single vector
+            if not _eprime_hit(case, i, beta):
+                g.composite_targets.append((j, i, a))
     return g
 
 
@@ -140,8 +137,7 @@ def classify_x0(case: MinusculeCase) -> X0Data:
     theta = data.theta
     j0, j1 = [], []
     for i in range(1, data.rank):
-        alpha = tuple(int(t == i) for t in range(data.rank))
-        (j0 if bilinear(data, alpha, theta) == 0 else j1).append(i)
+        (j0 if _simple_pairing(data, i, theta) == 0 else j1).append(i)
     exps = {i: -data.sym[0] * (2 + data.gcm[0][i]) for i in j1}
     return X0Data(j0=tuple(j0), j1=tuple(j1), exponents=exps)
 

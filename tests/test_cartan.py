@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from loomfold import cartan
 from loomfold.cartan import (
     DimensionMismatch,
     InvalidType,
@@ -12,6 +13,7 @@ from loomfold.cartan import (
     bilinear,
     build,
     build_affine,
+    _leading_minors,
 )
 from loomfold.lattice import finite_positive_roots, root_norm
 
@@ -34,6 +36,13 @@ LABEL_FIXTURES = {
     ("D", 4, 2): (1, 1, 1, 1),
     ("E", 6, 2): (1, 2, 3, 2, 1),
     ("D", 4, 3): (1, 2, 1),
+    # at the CLI's rank cap
+    ("B", 64, 1): (1,) * 2 + (2,) * 63,
+    ("C", 64, 1): (1,) + (2,) * 63 + (1,),
+    ("D", 64, 1): (1,) * 2 + (2,) * 61 + (1,) * 2,
+    ("A", 64, 2): (1,) + (2,) * 32,
+    ("A", 63, 2): (1,) * 2 + (2,) * 30 + (1,),
+    ("D", 64, 2): (1,) * 64,
 }
 
 SYM_FIXTURES = {
@@ -48,6 +57,12 @@ SYM_FIXTURES = {
     ("B", 5, 1): (2, 2, 2, 2, 2, 1),
     ("F", 4, 1): (2, 2, 2, 1, 1),
     ("G", 2, 1): (3, 3, 1),
+    ("B", 64, 1): (2,) * 64 + (1,),
+    ("C", 64, 1): (2,) + (1,) * 63 + (2,),
+    ("D", 64, 1): (1,) * 65,
+    ("A", 64, 2): (4,) + (2,) * 31 + (1,),
+    ("A", 63, 2): (1,) * 32 + (2,),
+    ("D", 64, 2): (1,) + (2,) * 62 + (1,),
 }
 
 DUAL_FIXTURES = {
@@ -60,6 +75,12 @@ DUAL_FIXTURES = {
     ("B", 5, 1): (1, 1, 2, 2, 2, 1),
     ("C", 3, 1): (1, 1, 1, 1),
     ("G", 2, 1): (1, 2, 1),
+    ("B", 64, 1): (1,) * 2 + (2,) * 62 + (1,),
+    ("C", 64, 1): (1,) * 65,
+    ("D", 64, 1): (1,) * 2 + (2,) * 61 + (1,) * 2,
+    ("A", 64, 2): (2,) * 32 + (1,),
+    ("A", 63, 2): (1,) * 2 + (2,) * 31,
+    ("D", 64, 2): (1,) + (2,) * 62 + (1,),
 }
 
 FINITE_ROOT_COUNTS = {
@@ -128,7 +149,35 @@ def test_null_vectors_exact():
         for i in range(m):
             assert sum(d.gcm[i][j] * d.kac[j] for j in range(m)) == 0
             assert sum(d.dual_kac[j] * d.gcm[j][i] for j in range(m)) == 0
+            # the symmetrizer is read off the two null vectors; diag(d) * gcm symmetric
+            for j in range(i):
+                assert d.sym[i] * d.gcm[i][j] == d.sym[j] * d.gcm[j][i]
         assert d.dual_kac[0] == (2 if at.is_a2n2 else 1)
+        assert min(d.sym) == 1
+
+
+def test_symmetry_check_rejects_wrong_labels(monkeypatch):
+    # a dual label vector that is not the transpose's null vector gives a d
+    # that does not symmetrize the GCM; the check must catch it, not pass it on
+    real = cartan._primitive_null
+    monkeypatch.setattr(cartan, "_primitive_null", lambda a: real([list(c) for c in zip(*a)]))
+    with pytest.raises(InvalidType, match="not symmetric"):
+        cartan._build_affine.__wrapped__(affine_type("B", 4, 1))
+
+
+def test_leading_minors():
+    # finite A_5: the k-th leading minor is k + 1
+    a5 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(5)] for i in range(5)]
+    rows = _leading_minors(a5)
+    assert [row[k] for k, row in enumerate(rows)] == [2, 3, 4, 5, 6]
+    assert all(row[j] == 0 for k, row in enumerate(rows) for j in range(k))
+    # an affine GCM: every proper leading minor positive, the determinant 0
+    d = build("D", 5, 1)
+    rows = _leading_minors(d.gcm)
+    assert len(rows) == d.rank and rows[-1][-1] == 0
+    assert all(row[k] > 0 for k, row in enumerate(rows[:-1]))
+    # elimination stops at the first pivot that is not positive
+    assert _leading_minors(((2, -3), (-3, 2))) == [[2, -3], [0, -5]]
 
 
 def test_delta_is_isotropic():

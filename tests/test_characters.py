@@ -331,6 +331,12 @@ def test_degree_cap_is_checked_before_allocation():
     with pytest.raises(DegreeAboveCap):
         char_product(build("D", 3, 2), 1, MAX_DEGREE + 1)
     assert product_from_exponents([], 1, MAX_DEGREE).coefficient((0, 0)) == 1
+    # from_terms allocates the same buckets, so it runs the same checks first
+    with pytest.raises(DegreeAboveCap, match=str(10**8)):
+        CharSeries.from_terms(1, 10**8, {})
+    with pytest.raises(NegativeDegree, match="-1 < 0"):
+        CharSeries.from_terms(1, -1, {})
+    assert CharSeries.from_terms(1, MAX_DEGREE, {}).degree == MAX_DEGREE
 
 
 def test_multiplicity_check_survives_optimize():
