@@ -67,6 +67,11 @@ class AffineData:
     delta: Vec
     theta: Vec
 
+    def __hash__(self) -> int:
+        # the type determines the datum, so equal data hash alike, and a
+        # per-type cache lookup hashes the type's four fields, not the GCM
+        return hash(self.type)
+
     @property
     def n(self) -> int:
         return self.type.n

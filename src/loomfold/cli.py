@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import cartan, characters, folding, pbw, qsymbolic, verify, weyl
 from .cartan import AffineData, InvalidType
@@ -49,6 +50,23 @@ class _Parser(argparse.ArgumentParser):
 MAX_RANK = 64
 
 
+# The one integer syntax of the command line: ASCII digits after an optional
+# '-', without a leading zero and without "-0", so that every accepted integer
+# is written one way, as str() writes it
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _integer(text: str) -> int:
+    """text as an int when it is in the integer syntax, else ArgumentTypeError,
+    which argparse reports with its message."""
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in canonical ASCII form")
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _degree(k: int) -> int:
     """k, checked to be a height bound in 0..MAX_DEGREE before any cell runs."""
     if k < 0:
@@ -63,17 +81,12 @@ def parse_type(text: str) -> cartan.AffineType:
     if not text or text[0] not in "ABCDEFG":
         raise ParseError("expected a family letter A..G", 0)
     k = 1
-    while k < len(text) and text[k].isdigit():
+    while k < len(text) and text[k] in "0123456789":
         k += 1
-    if k == 1:
-        raise ParseError("expected the rank N after the family letter", 1)
-    big_n = int(text[1:k])
+    big_n = _type_integer(text, 1, k, "the rank N after the family letter")
     if k >= len(text) or text[k] != "~":
         raise ParseError("expected '~' before the twist", k)
-    rest = text[k + 1:]
-    if not rest.isdigit():
-        raise ParseError("expected the twist r after '~'", k + 1)
-    r = int(rest)
+    r = _type_integer(text, k + 1, len(text), "the twist r after '~'")
     if big_n > MAX_RANK:
         raise OutOfRange(f"type {text} has rank N = {big_n} above the cap {MAX_RANK}")
     try:
@@ -82,12 +95,64 @@ def parse_type(text: str) -> cartan.AffineType:
         raise UnknownType(str(exc)) from exc
 
 
+def _type_integer(text: str, start: int, stop: int, what: str) -> int:
+    """text[start:stop] by `_integer`, or ParseError at start."""
+    try:
+        return _integer(text[start:stop])
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"expected {what}: {exc}", start) from None
+
+
 def _data(args) -> AffineData:
     return cartan.build_affine(parse_type(args.type))
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for str-keyed
+    dicts, lists, str, int, bool and None; any other type raises TypeError.
+
+    json's `indent` runs its pure-Python encoder; this writes each all-int
+    list, the bulk of most outputs, with one join.
+    """
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    return "".join(out)
+
+
+def _emit(obj, pad: str, out: list[str]) -> None:
+    """Append obj as JSON to out; pad is the newline and indent of obj's line."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif kind is list or kind is dict:
+        if not obj:
+            out.append("[]" if kind is list else "{}")
+            return
+        inner = pad + "  "
+        if kind is dict:
+            sep = "{" + inner
+            for key, value in sorted(obj.items()):
+                if type(key) is not str:
+                    raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                _emit(value, inner, out)
+                sep = "," + inner
+            out.append(pad + "}")
+        elif {*map(type, obj)} == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]")
+        else:
+            sep = "[" + inner
+            for value in obj:
+                out.append(sep)
+                _emit(value, inner, out)
+                sep = "," + inner
+            out.append(pad + "]")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
 def _dump(obj) -> None:
@@ -280,34 +345,34 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("inversions", help="inversion set of t_{-lambda_s}, by word and/or closed form")
     p.add_argument("--type", required=True)
-    p.add_argument("--node", type=int, required=True)
+    p.add_argument("--node", type=_integer, required=True)
     p.add_argument("--method", choices=("word", "closed", "both"), default="both")
 
     p = sub.add_parser("fold-verify", help="check the folding exponent identity")
     p.add_argument("--type", required=True)
-    p.add_argument("--node", type=int)
+    p.add_argument("--node", type=_integer)
     p.add_argument("--all", action="store_true", help="all nodes of the type")
 
     p = sub.add_parser("char", help="truncated character product of L_{s,a}")
     p.add_argument("--type", required=True)
-    p.add_argument("--node", type=int, required=True)
-    p.add_argument("--degree", type=int, default=12)
+    p.add_argument("--node", type=_integer, required=True)
+    p.add_argument("--degree", type=_integer, default=12)
     p.add_argument("--fold-check", action="store_true",
                    help="also compare against the folded untwisted parent series")
 
     p = sub.add_parser("pbw-graph", help="e'-derivation graph at a minuscule node")
     p.add_argument("--type", required=True)
-    p.add_argument("--node", type=int, required=True)
+    p.add_argument("--node", type=_integer, required=True)
     p.add_argument("--format", choices=("dot", "json"), default="json")
 
     p = sub.add_parser("eta", help="b, c and eta data for the minuscule twisted families")
     p.add_argument("--type", required=True)
-    p.add_argument("--o", type=int, choices=(1, -1), default=1)
+    p.add_argument("--o", type=_integer, choices=(1, -1), default=1)
 
     sub.add_parser("serre-check", help="quantum Serre coefficient cancellations")
 
     p = sub.add_parser("verify-all", help="run the full verification matrix")
-    p.add_argument("--degree", type=int, default=12)
+    p.add_argument("--degree", type=_integer, default=12)
     p.add_argument("--inject-fault", action="store_true",
                    help="test-only: flip one xi value and expect a failure")
     return top

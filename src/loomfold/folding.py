@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 from types import MappingProxyType
 
 from .cartan import AffineData, Vec
@@ -52,6 +54,10 @@ class OrbitMap:
     sigma: tuple[int, ...]          # sigma[i] for i in 1..N; slot 0 unused
     orbits: tuple[tuple[int, ...], ...]   # sorted by smallest member
     parent_gcm: tuple[tuple[int, ...], ...]  # (N+1)x(N+1), row/col 0 unused
+
+    def __hash__(self) -> int:
+        # the twisted datum determines the map, as the type determines the datum
+        return hash(self.twisted)
 
     @property
     def parent_rank(self) -> int:
@@ -134,21 +140,29 @@ def parent_positive_roots(om: OrbitMap) -> tuple[Vec, ...]:
     return tuple(closure_positive_roots(om.parent_gcm, range(1, om.parent_rank + 1)))
 
 
+def _fold_roots(om: OrbitMap, betas) -> list[Vec]:
+    """Pi of each parent vector in betas, in order: twisted coordinate t is the
+    sum of the parent coordinate columns over orbit t, slot 0 stays 0."""
+    cols = list(zip(*betas))
+    if not cols:
+        return []
+    sums = [functools.reduce(functools.partial(map, add), map(cols.__getitem__, orb))
+            for orb in om.orbits]
+    return list(zip(repeat(0), *sums))
+
+
 def fold_root(om: OrbitMap, beta: Vec) -> Vec:
     """Pi: alpha_i -> alpha_{bar i}, summed linearly over parent coordinates."""
-    n = om.twisted.n
-    out = [0] * (n + 1)
-    for t, orb in enumerate(om.orbits, start=1):
-        out[t] = sum(beta[i] for i in orb)
-    return tuple(out)
+    return _fold_roots(om, (beta,))[0]
 
 
 @functools.cache
 def _fibers(om: OrbitMap) -> MappingProxyType[Vec, tuple[Vec, ...]]:
     """Folded root -> the parent positive roots over it, in parent_positive_roots order."""
+    roots = parent_positive_roots(om)
     fibers: dict[Vec, list[Vec]] = {}
-    for b in parent_positive_roots(om):
-        fibers.setdefault(fold_root(om, b), []).append(b)
+    for b, beta in zip(roots, _fold_roots(om, roots)):
+        fibers.setdefault(beta, []).append(b)
     return MappingProxyType({beta: tuple(fib) for beta, fib in fibers.items()})
 
 
@@ -230,12 +244,14 @@ def verify_fold_identity(data: AffineData, s: int, xi_fault: bool = False,
             x *= 2
         fiber = fibers[beta]
         lhs = sum([b[sp] for b in fiber])
-        rhs = _fraction(x.numerator * beta[s], x.denominator)
-        if lhs != rhs or rhs != mult:
+        # lhs = num / den = mult, in integers; the Fraction is built after the check
+        num, den = x.numerator * beta[s], x.denominator
+        if lhs * den != num or num != mult * den:
             raise IdentityViolation(
                 f"identity fails at {data.type} s={s}, beta={beta}: "
-                f"fiber sum {lhs}, xi*[beta]_s = {rhs}, multiplicity {mult}",
+                f"fiber sum {lhs}, xi*[beta]_s = {_fraction(num, den)}, multiplicity {mult}",
                 beta=beta)
+        rhs = _fraction(num, den)
         report.append(FoldEntry(beta=beta, fiber=tuple(fiber),
                                 lhs=lhs, rhs=rhs, xi=x))
     return report

@@ -13,8 +13,10 @@ types); lambda_s itself is never materialized.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
-from operator import add
+from itertools import compress, repeat
+from operator import add, mul, neg
 from types import MappingProxyType
 
 from .cartan import AffineData, DimensionMismatch, Matrix, Vec, _bonds
@@ -53,18 +55,24 @@ class ExtWeylElt:
         if len(b) != m or any(len(row) != m for row in a) or any(len(row) != m for row in b):
             raise DimensionMismatch(f"matrix of shape {_shape(a)} and inverse of shape {_shape(b)}: "
                                     "both must be square of one size")
-        # row by row: row i of the product is the combination of b's rows by a's row i
+        # row by row: row i of the product is the combination of b's rows by a's
+        # row i, summed over the nonzero entries of both factors only
+        nodes = range(m)
+        support = [list(compress(nodes, row)) for row in b]
         for i, row in enumerate(a):
             acc = [0] * m
-            for k, x in enumerate(row):
-                if x:
-                    acc = [u + x * v for u, v in zip(acc, b[k])]
+            for k in compress(nodes, row):
+                x, bk = row[k], b[k]
+                for j in support[k]:
+                    acc[j] += x * bk[j]
             if acc[i] != 1 or acc.count(0) != m - 1:
                 raise NotLengthZeroResidue("inverse is not the integer inverse of the matrix")
 
     def apply(self, v: Vec) -> Vec:
-        m = self.matrix
-        return tuple(sum(m[i][j] * v[j] for j in range(len(v)) if v[j]) for i in range(len(v)))
+        """The image of v; DimensionMismatch unless len(v) is the matrix size."""
+        if len(v) != len(self.matrix):
+            raise DimensionMismatch(f"expected a vector of length {len(self.matrix)}, got {len(v)}")
+        return tuple(sum(map(mul, row, v)) for row in self.matrix)
 
     def compose(self, other: "ExtWeylElt") -> "ExtWeylElt":
         return ExtWeylElt(_matmul(self.matrix, other.matrix),
@@ -119,17 +127,29 @@ def translation_minus_lambda(data: AffineData, s: int) -> ExtWeylElt:
 
 
 # Packed columns: a vector v of length m is the int sum_i v_i 2^(W i) + ht(v) 2^(W m)
-# with W = _WIDTH.  Packing is linear, so a reflection acts on whole columns by
-# integer arithmetic.  Every column the kernel tracks is a real root, whose
-# coordinates all have one sign, that of its height; so the int's sign is the
-# root's, whatever the digits, and |c| < 2^(W(m+1)-1) bounds |ht(v)|, and with it
-# every coordinate, below 2^(W-1): only then do the digits decode exactly.  The
+# with W = _WIDTH bits per slot.  Packing is linear, so a reflection acts on whole
+# columns by integer arithmetic.  Every column the kernel tracks is a real root,
+# whose coordinates all have one sign, that of its height; so the int's sign is
+# the root's, whatever the digits, and |c| < 2^(W(m+1)-1) bounds |ht(v)|, and with
+# it every coordinate, below 2^(W-1): only then do the digits decode exactly.  The
 # packed simple roots need no bound: a one-signed v with height 1 is a unit vector.
+# A positive packed int is then the little-endian bytes of m + 1 unsigned slots,
+# so one struct encodes or decodes it; W must be a struct slot size: 8, 16, 32 or
+# 64 (a negative root is packed as minus its negative).
 _WIDTH = 32
+_SLOT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class PackedOverflow(ValueError):
     """A root column too large for the packed width to be encoded or decoded exactly."""
+
+
+@functools.cache
+def _codec(width: int, m: int) -> tuple[struct.Struct, struct.Struct]:
+    """Structs for m coordinate slots and the height slot of `width` bits: the first
+    packs all m + 1, the second unpacks the coordinates and skips the height."""
+    code = _SLOT_CODES[width]
+    return struct.Struct(f"<{m + 1}{code}"), struct.Struct(f"<{m}{code}{width // 8}x")
 
 
 def _pack(v: Vec) -> int:
@@ -138,7 +158,10 @@ def _pack(v: Vec) -> int:
     h = sum(v)
     if abs(h) >= 1 << (w - 1):
         raise PackedOverflow(f"root {v} has height {h}, not below 2^{w - 1}")
-    return sum(x << (w * i) for i, x in enumerate(v)) + (h << (w * len(v)))
+    pack = _codec(w, len(v))[0].pack
+    if h < 0:
+        return -int.from_bytes(pack(*map(neg, v), -h), "little")
+    return int.from_bytes(pack(*v, h), "little")
 
 
 def _unit_columns(m: int) -> list[int]:
@@ -148,20 +171,13 @@ def _unit_columns(m: int) -> list[int]:
 
 
 def _unpack_positive(cols: list[int], m: int) -> list[Vec]:
-    """Decode positive packed roots, certified exact, slot by slot over all of them."""
+    """Decode positive packed roots, certified exact, all of them in one struct pass."""
     w = _WIDTH
     if cols and max(cols) >= 1 << (w * (m + 1) - 1):
         raise PackedOverflow(f"a root column outgrew the packed width of {w} bits per coordinate")
-    mask = (1 << w) - 1
-    return list(zip(*[[(c >> (w * i)) & mask for c in cols] for i in range(m)]))
-
-
-def _reflect(cols: list[int], bonds_i, i: int) -> None:
-    # cols <- cols @ S_i: column j -= a_ij * column i on each bond (j, a_ij), column i negated
-    ci = cols[i]
-    for j, a in bonds_i:
-        cols[j] -= a * ci
-    cols[i] = -ci
+    size = w * (m + 1) // 8
+    data = b"".join(map(int.to_bytes, cols, repeat(size), repeat("little")))
+    return list(_codec(w, m)[1].iter_unpack(data))
 
 
 def alcove_factorize(data: AffineData, elt: ExtWeylElt):
@@ -187,15 +203,18 @@ def alcove_factorize(data: AffineData, elt: ExtWeylElt):
         raise NotLengthZeroResidue("a column of the inverse is not a root")
     cols = [_pack(c) for c in inverse_cols]
     bonds = _bonds(data.gcm)
-    neg = [c < 0 for c in cols]
+    negative = [c < 0 for c in cols]
     word: list[int] = []
-    while True in neg:
-        i = neg.index(True)
+    while True in negative:
+        i = negative.index(True)
         word.append(i)
-        _reflect(cols, bonds[i], i)
-        for j, _ in bonds[i]:
-            neg[j] = cols[j] < 0
-        neg[i] = False  # the negated column of a negative one is positive
+        # cols <- cols @ S_i: column j -= a_ij * column i on each bond, column i negated
+        ci = cols[i]
+        for j, a in bonds[i]:
+            cols[j] -= a * ci
+            negative[j] = cols[j] < 0
+        cols[i] = -ci
+        negative[i] = False  # the negated column of a negative one is positive
     # the residue is tau^{-1} = tau^T: column i is alpha_{tau^{-1}(i)}, so tau[k] = i
     units = {c: k for k, c in enumerate(_unit_columns(m))}
     tau = [None] * m
@@ -229,7 +248,10 @@ def inversion_set_from_word(data: AffineData, word) -> list[Vec]:
             raise NotReduced(f"word {tuple(word)} is not reduced at beta = {bad}")
         betas.append(beta)
         seen.add(beta)
-        _reflect(cols, bonds[ik], ik)
+        # cols <- cols @ S_ik, as in alcove_factorize
+        for j, a in bonds[ik]:
+            cols[j] -= a * beta
+        cols[ik] = -beta
     return _unpack_positive(betas, m)
 
 
@@ -249,6 +271,25 @@ def _finite_root_norms(data: AffineData) -> MappingProxyType[Vec, int]:
     return MappingProxyType(norms)
 
 
+@functools.cache
+def _root_steps(data: AffineData) -> tuple[tuple[Vec, int, Vec, int | None, Vec, Vec], ...]:
+    """The node-independent half of _finite_parts: rows (alpha, gamma, part,
+    family, first, step), one per finite root alpha and family, in
+    _finite_root_norms order; a node's parts are the rows with [alpha]_s > 0."""
+    delta, r = data.delta, data.type.r
+    r_step = tuple(r * x for x in delta)  # on A_{2n}^(2), r = 2: the family-2 step
+    rows = []
+    for al, norm in _finite_root_norms(data).items():
+        if not data.type.is_a2n2:
+            rows.append((al, r, al, None, al, r_step) if norm == 2 * r else (al, 1, al, None, al, delta))
+            continue
+        rows.append((al, 1, al, 1, al, delta))
+        if norm == 2:
+            part = tuple(2 * x for x in al)
+            rows.append((al, 1, part, 2, tuple(map(add, part, delta)), r_step))
+    return tuple(rows)
+
+
 def _finite_parts(data: AffineData, s: int) -> list[tuple[Vec, int, int | None, Vec, Vec]]:
     """Delta_+(t_{-lambda_s}) grouped by finite part, over the roots with [alpha]_s > 0.
 
@@ -260,24 +301,10 @@ def _finite_parts(data: AffineData, s: int) -> list[tuple[Vec, int, int | None, 
     ceil(p [alpha]_s / gamma), gamma = r for long alpha and 1 for short.
     """
     data.check_node(s)
-    delta = data.delta
-    roots = [(al, norm) for al, norm in _finite_root_norms(data).items() if al[s]]
-    out = []
-    if data.type.is_a2n2:
-        step = tuple(2 * x for x in delta)
-        for al, norm in roots:
-            out.append((al, al[s], 1, al, delta))
-            if norm == 2:
-                part = tuple(2 * x for x in al)
-                out.append((part, al[s], 2, tuple(map(add, part, delta)), step))
-    else:
-        r = data.type.r
-        p = _scale(data, s)
-        long_step = tuple(r * x for x in delta)
-        for al, norm in roots:
-            gam, step = (r, long_step) if norm == 2 * r else (1, delta)
-            out.append((al, -(-p * al[s] // gam), None, al, step))  # k < p [alpha]_s / gamma
-    return out
+    p = _scale(data, s)  # 1 on A_{2n}^(2), where gamma = 1 too
+    # k < p [alpha]_s / gamma
+    return [(part, -(-p * al[s] // gam), fam, first, step)
+            for al, gam, part, fam, first, step in _root_steps(data) if al[s]]
 
 
 def inversion_set_detailed(data: AffineData, s: int):
@@ -288,15 +315,16 @@ def inversion_set_detailed(data: AffineData, s: int):
     """
     out = []
     for _, count, fam, v, step in _finite_parts(data, s):
-        for _ in range(count):
-            out.append((v, fam))
+        out.append((v, fam))
+        for _ in range(count - 1):  # count >= 1, as [alpha]_s > 0
             v = tuple(map(add, v, step))
+            out.append((v, fam))
     return out
 
 
 def inversion_set_closed_form(data: AffineData, s: int) -> list[Vec]:
     """The set Delta_+(t_{-lambda_s}) from the fundamental-translation formula, sorted."""
-    return sorted(v for v, _ in inversion_set_detailed(data, s))
+    return sorted([v for v, _ in inversion_set_detailed(data, s)])
 
 
 def length_delta(data: AffineData, s: int, k: int, side: str) -> int:

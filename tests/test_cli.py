@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import loomfold
 from loomfold import cartan, characters, cli, qsymbolic, weyl
 from loomfold.cartan import all_affine_types
-from loomfold.cli import MAX_DEGREE, ParseError, UnknownType, main, parse_type
+from loomfold.cli import MAX_DEGREE, MAX_RANK, OutOfRange, ParseError, UnknownType, main, parse_type
 
 
 def run(capsys, *argv):
@@ -42,6 +42,111 @@ def test_parse_type_errors():
         with pytest.raises(ParseError) as info:
             parse_type(bad)
         assert info.value.position == pos
+
+
+def test_parse_type_round_trips_every_type():
+    # every type string it accepts is written one way; N above the cap is refused
+    for at in all_affine_types(64):
+        if at.N > MAX_RANK:
+            with pytest.raises(OutOfRange):
+                parse_type(str(at))
+            continue
+        assert parse_type(str(at)) == at
+        assert str(parse_type(str(at))) == str(at)
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("A01~1", 1), ("A00~1", 1), ("A5~02", 3), ("A5~00", 3),
+    ("A\u0665~1", 1), ("A\u00b2~1", 1), ("A5~\u0662", 3), ("A5~2 ", 3), ("A5~+2", 3),
+    ("A5~-0", 3),
+])
+def test_parse_type_rejects_non_canonical_integers(text, pos):
+    with pytest.raises(ParseError) as info:
+        parse_type(text)
+    assert info.value.position == pos
+
+
+@pytest.mark.parametrize("argv", [
+    ("cartan", "--type", "A01~1"),
+    ("cartan", "--type", "A5~02"),
+    ("cartan", "--type", "A\u0665~1"),
+    ("cartan", "--type", "A\u00b2~1"),
+    ("char", "--type", "A5~2", "--node", "\u0663", "--degree", "1"),
+    ("char", "--type", "A5~2", "--node", "1", "--degree", "1_0"),
+    ("char", "--type", "A5~2", "--node", " 2 ", "--degree", "1"),
+    ("char", "--type", "A5~2", "--node", "+2", "--degree", "1"),
+    ("char", "--type", "A5~2", "--node", "02", "--degree", "1"),
+    ("char", "--type", "A5~2", "--node", "1", "--degree", "-0"),
+    ("inversions", "--type", "A5~2", "--node", "\uff12"),
+    ("fold-verify", "--type", "A5~2", "--node", "1.0"),
+    ("verify-all", "--degree", "\u0660"),
+    ("eta", "--type", "A5~2", "--o", "01"),
+    ("eta", "--type", "A5~2", "--o", " 1"),
+    ("inversions", "--type", "A5~2", "--node", "9" * 5000),
+    ("cartan", "--type", "A" + "9" * 5000 + "~1"),
+])
+def test_non_canonical_integers_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("inversions", "--type", "A5~2", "--node", "-1"), "error: node -1 is not in 1..3 for A5~2\n"),
+    (("char", "--type", "A5~2", "--node", "1", "--degree", "-1"), "error: degree -1 is negative\n"),
+    (("verify-all", "--degree", "-1"), "error: degree -1 is negative\n"),
+    (("eta", "--type", "A5~2", "--o", "2"),
+     "error: argument --o: invalid choice: 2 (choose from 1, -1)\n"),
+])
+def test_negative_and_out_of_range_integers_keep_their_messages(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_eta_accepts_o_minus_one(capsys):
+    code, out, _ = run(capsys, "eta", "--type", "A5~2", "--o", "-1")
+    assert code == 0 and json.loads(out)["o"] == -1
+
+
+@pytest.mark.parametrize("argv", [
+    ("cartan", "--type", "E6~2"),
+    ("inversions", "--type", "D4~2", "--node", "3"),
+    ("inversions", "--type", "A6~2", "--node", "2", "--method", "word"),
+    ("inversions", "--type", "A6~2", "--node", "2", "--method", "closed"),
+    ("fold-verify", "--type", "A8~2", "--node", "2"),
+    ("fold-verify", "--type", "D4~3", "--all"),
+    ("char", "--type", "D3~2", "--node", "2", "--degree", "6"),
+    ("char", "--type", "A4~2", "--node", "1", "--degree", "6", "--fold-check"),
+    ("pbw-graph", "--type", "D4~2", "--node", "3", "--format", "json"),
+    ("eta", "--type", "A9~2", "--o", "-1"),
+    ("serre-check",),
+])
+def test_json_emitter_matches_json_dumps(capsys, monkeypatch, argv):
+    written = []
+    real = cli._json
+
+    def recording(obj):
+        written.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(cli, "_json", recording)
+    cli._serre_report.cache_clear()
+    try:
+        code, out, _ = run(capsys, *argv)
+    finally:
+        cli._serre_report.cache_clear()
+    assert code == 0 and len(written) == 1
+    assert out == real(written[0]) + "\n" == json.dumps(written[0], sort_keys=True, indent=2) + "\n"
+
+
+def test_json_emitter_on_edge_values():
+    value = {"z": [], "a": {}, "b": [True, False, None, -3, 0, 10**30],
+             "\u00e9\u2603\U0001d11e": ["t\u00e4b\tq\"", [[], [1, -2], {}], {"k": [None]}],
+             "n": [-1, -22], "m": [1, True], "": None}
+    for obj in (value, [], {}, [[]], "x\u0000y", -7, None, True, [value, value]):
+        assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    for bad in ((1, 2), [1.5], {1: 2}, {"k": (1,)}):
+        with pytest.raises(TypeError):
+            cli._json(bad)
 
 
 def test_cartan_json(capsys):

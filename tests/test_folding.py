@@ -1,5 +1,6 @@
 """Diagram automorphisms, fold fibers, xi values, and the exponent identity."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from itertools import permutations
 import pytest
 
 import loomfold
-from loomfold import weyl
+from loomfold import folding, weyl
 from loomfold.cartan import all_affine_types, build, twisted_types, build_affine
 from loomfold.folding import (
     BadAutomorphism,
@@ -114,6 +115,25 @@ def test_sigma_for_built_once_per_type():
         assert sigma_for(d) is sigma_for(d)
 
 
+def test_batch_fold_matches_per_root_sums():
+    for at in twisted_types(12):
+        om = sigma_for(build_affine(at))
+        roots = parent_positive_roots(om)
+        expect = [(0,) + tuple(sum(b[i] for i in orb) for orb in om.orbits) for b in roots]
+        assert folding._fold_roots(om, roots) == expect, at
+        assert [fold_root(om, b) for b in roots] == expect, at
+    assert folding._fold_roots(om, []) == []
+
+
+def test_orbit_map_hashes_by_twisted_type():
+    for at in twisted_types(12):
+        om = sigma_for(build_affine(at))
+        copy = dataclasses.replace(om)
+        assert hash(om) == hash(at) == hash(copy)
+        assert copy == om and copy is not om
+        assert parent_positive_roots(copy) is parent_positive_roots(om), at
+
+
 def test_fold_root_linearity_and_sigma_compat():
     for at in twisted_types(6):
         om = sigma_for(build_affine(at))
@@ -214,11 +234,13 @@ def test_family_mismatch_from_crafted_norms(monkeypatch):
     d = build("A", 2, 2)
     monkeypatch.setattr(weyl, "_finite_root_norms", lambda data: {(0, 1): 2, (0, 2): 8})
     bar_inversion_parts.cache_clear()
+    weyl._root_steps.cache_clear()
     try:
         with pytest.raises(FamilyMismatch, match=r"\(0, 2\) of A2~2 s=1 arises from families 2 and 1"):
             bar_inversion_parts(d, 1)
     finally:
         bar_inversion_parts.cache_clear()
+        weyl._root_steps.cache_clear()
 
 
 def test_fold_identity_e62_s2_fixture():

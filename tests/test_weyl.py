@@ -1,5 +1,6 @@
 """Translations, alcove factorization, and the two inversion-set routes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -360,6 +361,13 @@ def test_element_rejects_mismatched_shapes(matrix, inverse, shapes):
         ExtWeylElt(matrix, inverse)
 
 
+@pytest.mark.parametrize("length", [2, 4])
+def test_apply_rejects_wrong_length(length):
+    # map(mul, row, v) stops at the shorter side, so a wrong length would pass silently
+    with pytest.raises(DimensionMismatch, match=f"length 3, got {length}"):
+        simple_reflection(build("A", 2, 1), 1).apply((1,) * length)
+
+
 @pytest.mark.parametrize("length", [2, 6])
 def test_lambda_pairing_rejects_wrong_length(length):
     # A3~1 has rank 4; a shorter or longer vector used to be paired anyway
@@ -401,15 +409,15 @@ def test_factorize_rejects_element_of_another_rank(data_key, elt_key):
 
 
 def test_packed_width_overflow_raises(monkeypatch):
-    # E8~1 s=5 has roots of height up to 181; at 4 bits per coordinate a
-    # packed column certifies heights below 8 only
+    # E8~1 s=5 has roots of height up to 181; at 8 bits per coordinate a
+    # packed column certifies heights below 128 only
     d = build("E", 8, 1)
     t = translation_minus_lambda(d, 5)
     word, _ = alcove_factorize(d, t)
     small = build("A", 2, 1)
     small_word, small_tau = alcove_factorize(small, translation_minus_lambda(small, 1))
     small_betas = inversion_set_from_word(small, small_word)
-    monkeypatch.setattr(weyl, "_WIDTH", 4)
+    monkeypatch.setattr(weyl, "_WIDTH", 8)
     with pytest.raises(PackedOverflow):
         alcove_factorize(d, t)
     with pytest.raises(PackedOverflow):
@@ -421,6 +429,39 @@ def test_packed_width_overflow_raises(monkeypatch):
     # the width bounds decoding only: small roots come back unchanged
     assert alcove_factorize(small, translation_minus_lambda(small, 1)) == (small_word, small_tau)
     assert inversion_set_from_word(small, small_word) == small_betas
+
+
+def test_packed_codec_round_trip():
+    for at in all_affine_types(12):
+        d = build_affine(at)
+        for al in finite_positive_roots(d):
+            packed = weyl._pack(al)
+            assert weyl._unpack_positive([packed], d.rank) == [al], (at, al)
+            assert weyl._pack(tuple(-x for x in al)) == -packed < 0, (at, al)
+
+
+def test_packed_codec_width_bound(monkeypatch):
+    # on A2~1, alpha_1 + 42 delta has height 127 and alpha_1 + alpha_2 + 42 delta 128;
+    # 8 bits per slot certify heights below 2^7 only
+    monkeypatch.setattr(weyl, "_WIDTH", 8)
+    below, at_bound = (42, 43, 42), (42, 43, 43)
+    assert weyl._unpack_positive([weyl._pack(below)], 3) == [below]
+    for v in (at_bound, tuple(-x for x in at_bound)):
+        with pytest.raises(PackedOverflow, match="height -?128"):
+            weyl._pack(v)
+    with pytest.raises(PackedOverflow):  # the least column the decode bound refuses
+        weyl._unpack_positive([1 << (8 * 4 - 1)], 3)
+
+
+def test_affine_data_hashes_by_type():
+    for at in all_affine_types(12):
+        d = build_affine(at)
+        copy = dataclasses.replace(d)
+        assert hash(d) == hash(at) == hash(copy)
+        assert copy == d and copy is not d
+        assert finite_positive_roots(copy) is finite_positive_roots(d), at
+    d = build("A", 5, 2)
+    assert dataclasses.replace(d, theta=d.delta) != d  # equality stays field by field
 
 
 NODE_CALLS = {
