@@ -175,17 +175,29 @@ def _leading_minors(a) -> list[list[int]]:
     Returns the eliminated rows, up to and including the first whose pivot
     is not positive: row k is zero left of column k, and its pivot rows[k][k]
     is the (k+1)-th leading principal minor.  Every division is exact.
+
+    A lower row with 0 in the pivot column would only be rescaled by
+    p / prev, so that is deferred: over[i] is the last pivot applied to row
+    i, which catches up by prev / over[i] when next read (exactly: the eager
+    values are minors).  On a sparse Dynkin matrix few rows are ever read.
     """
     rows = [list(row) for row in a]
+    over = [1] * len(rows)
     prev = 1
     for k, row in enumerate(rows):
+        if over[k] != prev:
+            row[k:] = [x * prev // over[k] for x in row[k:]]
         p = row[k]
         if p <= 0:
             return rows[:k + 1]
-        for lower in rows[k + 1:]:
+        for i, lower in enumerate(rows[k + 1:], k + 1):
             f = lower[k]
-            if f or p != prev:  # else the update leaves the row as it is
+            if f:
+                if over[i] != prev:
+                    lower[k:] = [x * prev // over[i] for x in lower[k:]]
+                    f = lower[k]
                 lower[k:] = [(p * x - f * y) // prev for x, y in zip(lower[k:], row[k:])]
+                over[i] = p
         prev = p
     return rows
 

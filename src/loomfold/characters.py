@@ -81,13 +81,13 @@ def _pack(m, base: int) -> int:
     return k
 
 
-def _unpack(keys, base: int, size: int):
-    """Exponent tuples of packed keys, one digit column at a time."""
+def _digit_columns(keys, base: int, size: int) -> list[list[int]]:
+    """The digits of packed keys, one list per slot 0..size-1, in key order."""
     cols = []
     for _ in range(size):
         cols.append([k % base for k in keys])
         keys = [k // base for k in keys]
-    return zip(*cols)
+    return cols
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class CharSeries:
     def height_terms(self, h: int) -> dict[Vec, int]:
         """The terms of height h, keyed by exponent tuples."""
         bucket = self.buckets[h]
-        return dict(zip(_unpack(bucket, self.degree + 1, self.rank + 1), bucket.values()))
+        return dict(zip(zip(*_digit_columns(bucket, self.degree + 1, self.rank + 1)), bucket.values()))
 
     def coefficient(self, m: Vec) -> int:
         k = self._key(m)

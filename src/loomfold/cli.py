@@ -3,13 +3,15 @@
 Type strings use `~` for the twist superscript (A5~2 means the second
 twist of A_5) to stay shell-safe.  All subcommands are pure functions of
 their arguments; JSON output has sorted keys and no timestamps.  Exit
-codes: 0 ok, 1 verification failure, 2 usage error.
+codes: 0 ok, 1 verification failure, 2 usage error, 141 (128 + SIGPIPE)
+when the reader closes stdout early, which prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -43,10 +45,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# affine_type builds an N-long diagram and the Cartan build is O(N^3)
-# Bareiss elimination, so the CLI caps N before calling either; at the cap,
-# on a 2-vCPU Xeon VM, `cartan --type D64~1` takes about 0.15 s and
-# building every type with n <= 64 about 1.1-1.5 s
+# affine_type builds an N-long diagram and the Cartan build is O(N^2) on a
+# Dynkin diagram (Bareiss elimination with deferred rescaling), so the CLI
+# caps N before calling either; at the cap, on a 2-vCPU Xeon VM, `cartan
+# --type D64~1` takes about 0.15 s, mostly interpreter start, and building
+# every type with n <= 64 about 0.33-0.47 s
 MAX_RANK = 64
 
 
@@ -163,6 +166,18 @@ def _monomial_key(m) -> str:
     return ",".join(map(str, m[1:]))
 
 
+def _series_labels(ser: characters.CharSeries) -> dict[str, int]:
+    """{_monomial_key(m): c} over ser's terms, unordered, from each bucket's digit columns."""
+    base = ser.degree + 1
+    digits = [str(x) for x in range(base)]  # every coordinate is at most the degree
+    out: dict[str, int] = {}
+    for bucket in ser.buckets:
+        cols = characters._digit_columns(bucket, base, ser.rank + 1)
+        labels = map(",".join, zip(*[map(digits.__getitem__, col) for col in cols[1:]]))
+        out.update(zip(labels, bucket.values()))
+    return out
+
+
 def cmd_cartan(args) -> int:
     d = _data(args)
     _dump({
@@ -227,7 +242,7 @@ def cmd_char(args) -> int:
     out: dict = {
         "type": str(d.type), "node": s, "degree": degree,
         # unsorted: _json sorts the keys
-        "series": {_monomial_key(m): c for m, c in ser.terms.items()},
+        "series": _series_labels(ser),
     }
     code = 0
     if args.fold_check:
@@ -381,7 +396,14 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.flush()  # a reader that closed the pipe is seen here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit cannot raise again
+        # (as the Python docs of the signal module advise), and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a stage that SIGPIPE ended
     except (folding.IdentityViolation, qsymbolic.NonzeroCoefficient, weyl.NotReduced) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

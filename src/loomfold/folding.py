@@ -18,7 +18,7 @@ from operator import add
 from types import MappingProxyType
 
 from .cartan import AffineData, Vec
-from .lattice import closure_positive_roots
+from .lattice import _closure
 from .weyl import _finite_parts, _finite_root_norms
 
 
@@ -137,7 +137,7 @@ def _sigma_for(data: AffineData) -> OrbitMap:
 @functools.cache
 def parent_positive_roots(om: OrbitMap) -> tuple[Vec, ...]:
     """Positive roots of the simply-laced parent, as (N+1)-tuples with slot 0 = 0."""
-    return tuple(closure_positive_roots(om.parent_gcm, range(1, om.parent_rank + 1)))
+    return tuple(_closure(om.parent_gcm, range(1, om.parent_rank + 1)))
 
 
 def _fold_roots(om: OrbitMap, betas) -> list[Vec]:

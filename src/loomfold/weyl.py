@@ -20,7 +20,7 @@ from operator import add, mul, neg
 from types import MappingProxyType
 
 from .cartan import AffineData, DimensionMismatch, Matrix, Vec, _bonds
-from .lattice import finite_positive_roots, is_negative
+from .lattice import _closure, is_negative
 
 
 class NotLengthZeroResidue(ValueError):
@@ -259,16 +259,11 @@ def inversion_set_from_word(data: AffineData, word) -> list[Vec]:
 def _finite_root_norms(data: AffineData) -> MappingProxyType[Vec, int]:
     """alpha -> (alpha, alpha) over finite_positive_roots(data), in its order.
 
-    (alpha, alpha) = sum_i d_i alpha_i <alpha, h_i>, each pairing taken over
-    the bonds of i, at the nodes where alpha_i != 0.
+    The closure walk maps each root to the simple node alpha_o it is
+    W-conjugate to, and reflections preserve the form: (alpha, alpha) = 2 d_o.
     """
-    bonds = _bonds(data.gcm)
     sym = data.sym
-    norms = {}
-    for al in finite_positive_roots(data):
-        norms[al] = sum(sym[i] * x * (2 * x + sum(a * al[j] for j, a in bonds[i]))
-                        for i, x in enumerate(al) if x)
-    return MappingProxyType(norms)
+    return MappingProxyType({al: 2 * sym[o] for al, o in _closure(data.gcm, range(1, data.rank)).items()})
 
 
 @functools.cache

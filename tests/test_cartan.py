@@ -1,6 +1,7 @@
 """Cartan datum fixtures and invariants for every affine type."""
 
 import math
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from loomfold.cartan import (
     build_affine,
     _leading_minors,
 )
+from loomfold.folding import sigma_for
 from loomfold.lattice import finite_positive_roots, root_norm
 
 # Printed node labels from the diagram table, in node order 0..n.
@@ -178,6 +180,46 @@ def test_leading_minors():
     assert all(row[k] > 0 for k, row in enumerate(rows[:-1]))
     # elimination stops at the first pivot that is not positive
     assert _leading_minors(((2, -3), (-3, 2))) == [[2, -3], [0, -5]]
+
+
+def _eager_leading_minors(a):
+    """Reference: Bareiss elimination that rescales every lower row at every
+    step, even when its pivot-column entry is 0."""
+    rows = [list(row) for row in a]
+    prev = 1
+    for k, row in enumerate(rows):
+        p = row[k]
+        if p <= 0:
+            return rows[:k + 1]
+        for lower in rows[k + 1:]:
+            f = lower[k]
+            lower[k:] = [(p * x - f * y) // prev for x, y in zip(lower[k:], row[k:])]
+        prev = p
+    return rows
+
+
+def test_deferred_rescaling_matches_eager_elimination():
+    mats = []
+    for at in all_affine_types(24):
+        d = build_affine(at)
+        mats += [d.gcm, tuple(zip(*d.gcm)), [row[1:] for row in d.gcm[1:]]]
+        if at.r > 1:
+            mats.append([row[1:] for row in sigma_for(d).parent_gcm[1:]])
+    rng = random.Random(20261019)
+    entries = (0, 0, 0, 1, -1, 2, -2, 3, -3)
+    for _ in range(600):
+        m = rng.randint(1, 9)
+        mats.append([[rng.choice((0, 1, 2, 2, 3, -1)) if i == j else rng.choice(entries)
+                      for j in range(m)] for i in range(m)])
+    stops = set()
+    for a in mats:
+        rows = _leading_minors(a)
+        assert rows == _eager_leading_minors(a), a
+        last = rows[-1][len(rows) - 1]
+        stops.add((len(rows) < len(a), (last > 0) - (last < 0)))
+    # runs to the end with a positive or zero last pivot, and stops early at
+    # a zero and at a negative pivot
+    assert {(False, 1), (False, 0), (True, 0), (True, -1)} <= stops
 
 
 def test_delta_is_isotropic():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loomfold
-from loomfold import folding, weyl
+from loomfold import folding, lattice, weyl
 from loomfold.cartan import build, build_affine, twisted_types
 from loomfold.characters import (
     MAX_DEGREE,
@@ -384,4 +384,9 @@ def test_cached_results_are_immutable():
         fibers[beta][0] = (0, 0, 0, 0)
     with pytest.raises(TypeError):
         weyl._finite_root_norms(d)[(0, 1, 0)] = 0
+    # the closure mapping is shared by every type with the same finite block
+    with pytest.raises(TypeError):
+        lattice._closure(d.gcm, range(1, d.rank))[(0, 1, 0)] = 0
+    with pytest.raises(TypeError):
+        lattice._closure(sigma_for(d).parent_gcm, range(1, 4))[(0, 1, 0, 0)] = 0
     assert char_exponents(d, 1) == before != []

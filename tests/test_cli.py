@@ -211,6 +211,16 @@ def test_char(capsys):
     assert code == 2  # folding needs a twisted type
 
 
+def test_series_labels_match_the_terms_view():
+    # the label route decodes digit columns; the terms view decodes tuples
+    for t, s, degree in (("A2~1", 1, 0), ("G2~1", 2, 1), ("E6~2", 3, 12), ("D4~3", 1, 24),
+                         ("A12~2", 5, 12)):
+        ser = characters.char_product(cartan.build_affine(parse_type(t)), s, degree)
+        expect = {cli._monomial_key(m): c for m, c in ser.terms.items()}
+        assert cli._series_labels(ser) == expect, t
+        assert len(expect) == len(ser.terms)
+
+
 def test_fold_check_on_untwisted_type_does_no_series_work(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(characters, "char_product", lambda *args: calls.append(args))
@@ -425,6 +435,33 @@ def test_eta_check_survives_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "FAIL qsymbolic" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["char", "--type", "A5~2", "--node", "1", "--degree", "24", "--fold-check"],
+    ["verify-all"],
+])
+def test_closed_stdout_pipe_exits_quietly(argv):
+    # `loomfold ... | head -c 10`: the reader takes a few bytes and closes the
+    # pipe; the CLI must exit 141 (128 + SIGPIPE) without a traceback.  Both
+    # outputs are about 12 kB, so the pipe is shrunk to one page: the child
+    # then still has output to write when the reader closes, whatever the timing
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe size cannot be set on this platform")
+    src = os.path.dirname(os.path.dirname(loomfold.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
+    with subprocess.Popen([sys.executable, "-m", "loomfold.cli", *argv], env=env,
+                          stdout=write_end, stderr=subprocess.PIPE) as proc:
+        os.close(write_end)
+        head = os.read(read_end, 10)
+        os.close(read_end)
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert head and err == b""
+    assert code == 141
 
 
 # valid ranks stay small so the property runs in seconds; the ranks above the

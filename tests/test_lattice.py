@@ -2,8 +2,9 @@
 
 import pytest
 
+from loomfold import lattice
 from loomfold.cartan import all_affine_types, bilinear, build, build_affine, twisted_types
-from loomfold.folding import sigma_for
+from loomfold.folding import parent_positive_roots, sigma_for
 from loomfold.lattice import (
     IndexOutOfRange,
     NotFiniteType,
@@ -129,10 +130,35 @@ def test_closure_matches_naive_reference():
     sizes = set()
     for gcm, nodes in cases:
         roots = closure_positive_roots(gcm, nodes)
-        assert roots == _naive_closure(gcm, nodes)
+        assert list(roots) == _naive_closure(gcm, nodes)
+        # the walk maps every root to a node; a simple root to its own
+        assert set(roots.values()) <= set(nodes)
+        assert all(roots[tuple(int(j == i) for j in range(len(gcm)))] == i for i in nodes)
         sizes.add((len(nodes), len(roots)))
     # A_24 (the parent of A24~2), B_12 and C_12, D_12, E_8
     assert {(24, 300), (12, 144), (12, 132), (8, 120)} <= sizes
+
+
+def test_one_closure_per_distinct_block():
+    # types and parents that share a finite block share one walk: 117 root
+    # requests with n <= 12 walk 64 distinct blocks
+    finite_positive_roots.cache_clear()
+    parent_positive_roots.cache_clear()
+    lattice._block_closure.cache_clear()
+    requests = 0
+    for at in all_affine_types(12):
+        d = build_affine(at)
+        finite_positive_roots(d)
+        requests += 1
+        if at.r > 1:
+            parent_positive_roots(sigma_for(d))
+            requests += 1
+    info = lattice._block_closure.cache_info()
+    assert (requests, info.currsize, info.misses, info.hits) == (117, 64, 64, 53)
+    # C_5 is the finite block of both C5~1 and A9~2; A_7 that of A7~1 and the parent of A7~2
+    assert finite_positive_roots(build("C", 5, 1)) == finite_positive_roots(build("A", 9, 2))
+    assert parent_positive_roots(sigma_for(build("A", 7, 2))) == finite_positive_roots(build("A", 7, 1))
+    assert lattice._block_closure.cache_info().currsize == 64
 
 
 def test_closure_rejects_non_finite_blocks():
