@@ -33,7 +33,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 
 from .cartan import AffineData, Vec
-from .folding import OrbitMap, _xi_value, bar_inversion_parts
+from .folding import OrbitMap, bar_inversion_parts
 
 
 class NonIntegerExponent(ValueError):
@@ -199,18 +199,14 @@ def product_from_exponents(exponents, rank: int, degree: int) -> CharSeries:
 def char_exponents(data: AffineData, s: int) -> list[tuple[Vec, int]]:
     """(beta, e(beta)) over distinct finite parts of Delta_+(t_{-lambda_s}).
 
-    e(beta) = [beta]_s for untwisted types and xi_s(beta) [beta]_s for
-    twisted ones; non-integrality would signal a folding bug.
+    e(beta) = xi_s(beta) [beta]_s, with xi_s from bar_inversion_parts (1 on
+    untwisted types); non-integrality would signal a folding bug.
     """
     out = []
-    for beta, (mult, fam) in sorted(bar_inversion_parts(data, s).items()):
-        if data.type.is_untwisted:
-            e = beta[s]
-        else:
-            ef = _xi_value(data, s, beta, fam) * beta[s]
-            if ef.denominator != 1:
-                raise NonIntegerExponent(f"xi*[beta]_s = {ef} at {beta} in {data.type}")
-            e = int(ef)
+    for beta, (mult, xi) in sorted(bar_inversion_parts(data, s).items()):
+        e, rem = divmod(xi.numerator * beta[s], xi.denominator)
+        if rem:
+            raise NonIntegerExponent(f"xi*[beta]_s = {xi * beta[s]} at {beta} in {data.type}")
         if e != mult:
             raise MultiplicityMismatch(
                 f"exponent {e} differs from the delta-shift multiplicity {mult} "

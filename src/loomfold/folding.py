@@ -5,7 +5,9 @@ X_N carrying the order-r automorphism sigma; orbits are identified with
 the twisted nodes 1..n in increasing order of their smallest member, and
 the node chosen on the parent side is always that smallest representative.
 verify_fold_identity checks, for every folded root beta, that the parent
-coefficients over the fiber sum to xi_s(beta) [beta]_s.
+coefficients over the fiber sum to xi_s(beta) [beta]_s.  xi_s is decided
+once per finite part, in bar_inversion_parts, which the exponents of
+characters read too.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .cartan import AffineData, Vec
 from .lattice import _closure
-from .weyl import _finite_parts, _finite_root_norms
+from .weyl import _finite_parts, _scale
 
 
 class NotTwisted(ValueError):
@@ -166,42 +169,35 @@ def _fibers(om: OrbitMap) -> MappingProxyType[Vec, tuple[Vec, ...]]:
     return MappingProxyType({beta: tuple(fib) for beta, fib in fibers.items()})
 
 
-@functools.cache
-def bar_inversion_parts(data: AffineData, s: int) -> MappingProxyType[Vec, tuple[int, int | None]]:
-    """Finite parts of Delta_+(t_{-lambda_s}) with multiplicity and family tag.
-
-    Built from the finite roots alpha with [alpha]_s > 0, without listing the
-    affine roots: multiplicity ceil(p [alpha]_s / gamma) at alpha, family None;
-    for A_{2n}^(2), [alpha]_s at alpha with family 1 and, for short alpha,
-    [alpha]_s at 2 alpha with family 2.  A finite part arises from one family
-    only (families differ in norm); FamilyMismatch says otherwise.
-    """
-    parts: dict[Vec, tuple[int, int | None]] = {}
-    for part, count, fam, _, _ in _finite_parts(data, s):
-        # each finite root gives one part per family, so a repeat is a second family
-        if part in parts:
-            raise FamilyMismatch(
-                f"finite part {part} of {data.type} s={s} arises from families {parts[part][1]} and {fam}")
-        parts[part] = (count, fam)
-    return MappingProxyType(parts)
-
-
 # xi values and xi * [beta]_s take few distinct values; Fractions are immutable
 _fraction = functools.cache(Fraction)
 
 
-def _xi_value(data: AffineData, s: int, beta: Vec, family: int | None) -> Fraction:
-    """xi_s(beta) = d_s / gamma_beta, gamma_beta = r for long beta and 1 else; for
-    A_{2n}^(2), 1 on the alpha + k delta family and 1/2 on 2 alpha + (2k+1) delta."""
-    if data.type.is_a2n2:
-        return _fraction(1) if family == 1 else _fraction(1, 2)
-    # long roots have norm 2r, short ones 2
-    gam = data.type.r if _finite_root_norms(data)[beta] == 2 * data.type.r else 1
-    return _fraction(data.sym[s], gam)
+def bar_inversion_parts(data: AffineData, s: int) -> dict[Vec, tuple[int, Fraction]]:
+    """Finite parts of Delta_+(t_{-lambda_s}), each with its multiplicity and xi_s.
+
+    Built from the finite roots alpha with [alpha]_s > 0, without listing the
+    affine roots: multiplicity ceil(p [alpha]_s / gamma) at alpha; for
+    A_{2n}^(2), [alpha]_s at alpha (family 1) and, for short alpha, [alpha]_s
+    at 2 alpha (family 2).  xi_s = p / (family or gamma), with p from
+    weyl._scale: 1 on untwisted types, 1 and 1/2 on the two A_{2n}^(2)
+    families, and d_s / gamma on the other twisted types.  A finite part arises from
+    one family only (families differ in norm); FamilyMismatch says otherwise.
+    A fresh dict per call: rebuilding it costs less than a cache would save.
+    """
+    p = _scale(data, s)
+    parts: dict[Vec, tuple[int, Fraction]] = {}
+    for part, count, fam, gam, _, _ in _finite_parts(data, s):
+        # each finite root gives one part per family, so a repeat is a second
+        # family; families occur on A_{2n}^(2) only, where p = 1 and xi = 1 / family
+        if part in parts:
+            raise FamilyMismatch(f"finite part {part} of {data.type} s={s} arises from "
+                                 f"families {parts[part][1].denominator} and {fam}")
+        parts[part] = (count, _fraction(p, fam or gam))
+    return parts
 
 
-@dataclass(frozen=True)
-class FoldEntry:
+class FoldEntry(NamedTuple):
     beta: Vec                    # folded root (twisted coordinates)
     fiber: tuple[Vec, ...]       # parent roots over beta
     lhs: int                     # sum of parent s-coefficients over the fiber
@@ -238,8 +234,7 @@ def verify_fold_identity(data: AffineData, s: int, xi_fault: bool = False,
             beta=next(iter(set(fibers) ^ set(tparts))))
     report = []
     for beta in sorted(tparts):
-        mult, fam = tparts[beta]
-        x = _xi_value(data, s, beta, fam)
+        mult, x = tparts[beta]
         if xi_fault:
             x *= 2
         fiber = fibers[beta]
@@ -252,8 +247,7 @@ def verify_fold_identity(data: AffineData, s: int, xi_fault: bool = False,
                 f"fiber sum {lhs}, xi*[beta]_s = {_fraction(num, den)}, multiplicity {mult}",
                 beta=beta)
         rhs = _fraction(num, den)
-        report.append(FoldEntry(beta=beta, fiber=tuple(fiber),
-                                lhs=lhs, rhs=rhs, xi=x))
+        report.append(FoldEntry(beta, tuple(fiber), lhs, rhs, x))
     return report
 
 

@@ -17,7 +17,6 @@ import struct
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, mul, neg
-from types import MappingProxyType
 
 from .cartan import AffineData, DimensionMismatch, Matrix, Vec, _bonds
 from .lattice import _closure, is_negative
@@ -256,40 +255,34 @@ def inversion_set_from_word(data: AffineData, word) -> list[Vec]:
 
 
 @functools.cache
-def _finite_root_norms(data: AffineData) -> MappingProxyType[Vec, int]:
-    """alpha -> (alpha, alpha) over finite_positive_roots(data), in its order.
-
-    The closure walk maps each root to the simple node alpha_o it is
-    W-conjugate to, and reflections preserve the form: (alpha, alpha) = 2 d_o.
-    """
-    sym = data.sym
-    return MappingProxyType({al: 2 * sym[o] for al, o in _closure(data.gcm, range(1, data.rank)).items()})
-
-
-@functools.cache
 def _root_steps(data: AffineData) -> tuple[tuple[Vec, int, Vec, int | None, Vec, Vec], ...]:
     """The node-independent half of _finite_parts: rows (alpha, gamma, part,
     family, first, step), one per finite root alpha and family, in
-    _finite_root_norms order; a node's parts are the rows with [alpha]_s > 0."""
-    delta, r = data.delta, data.type.r
+    finite_positive_roots order; a node's parts are the rows with [alpha]_s > 0.
+
+    The closure maps alpha to the simple node o it is W-conjugate to, and
+    reflections preserve the form, so (alpha, alpha) = 2 d_o: alpha is long
+    exactly when d_o = r, and short on A_{2n}^(2) exactly when d_o = 1.
+    """
+    delta, r, sym = data.delta, data.type.r, data.sym
     r_step = tuple(r * x for x in delta)  # on A_{2n}^(2), r = 2: the family-2 step
     rows = []
-    for al, norm in _finite_root_norms(data).items():
+    for al, o in _closure(data.gcm, range(1, data.rank)).items():
         if not data.type.is_a2n2:
-            rows.append((al, r, al, None, al, r_step) if norm == 2 * r else (al, 1, al, None, al, delta))
+            rows.append((al, r, al, None, al, r_step) if sym[o] == r else (al, 1, al, None, al, delta))
             continue
         rows.append((al, 1, al, 1, al, delta))
-        if norm == 2:
+        if sym[o] == 1:
             part = tuple(2 * x for x in al)
             rows.append((al, 1, part, 2, tuple(map(add, part, delta)), r_step))
     return tuple(rows)
 
 
-def _finite_parts(data: AffineData, s: int) -> list[tuple[Vec, int, int | None, Vec, Vec]]:
+def _finite_parts(data: AffineData, s: int) -> list[tuple[Vec, int, int | None, int, Vec, Vec]]:
     """Delta_+(t_{-lambda_s}) grouped by finite part, over the roots with [alpha]_s > 0.
 
-    Each entry (part, count, family, first, step) stands for the count roots
-    first + k step, k = 0 .. count - 1, whose finite part is part.  For
+    Each entry (part, count, family, gamma, first, step) stands for the count
+    roots first + k step, k = 0 .. count - 1, whose finite part is part.  For
     A_{2n}^(2): family 1 gives alpha + k delta, and each short alpha also
     gives family 2, 2 alpha + (2k+1) delta, both with count [alpha]_s.
     Otherwise family is None and alpha + k gamma delta has count
@@ -298,7 +291,7 @@ def _finite_parts(data: AffineData, s: int) -> list[tuple[Vec, int, int | None, 
     data.check_node(s)
     p = _scale(data, s)  # 1 on A_{2n}^(2), where gamma = 1 too
     # k < p [alpha]_s / gamma
-    return [(part, -(-p * al[s] // gam), fam, first, step)
+    return [(part, -(-p * al[s] // gam), fam, gam, first, step)
             for al, gam, part, fam, first, step in _root_steps(data) if al[s]]
 
 
@@ -309,7 +302,7 @@ def inversion_set_detailed(data: AffineData, s: int):
     None otherwise.  All returned vectors are positive affine roots.
     """
     out = []
-    for _, count, fam, v, step in _finite_parts(data, s):
+    for _, count, fam, _, v, step in _finite_parts(data, s):
         out.append((v, fam))
         for _ in range(count - 1):  # count >= 1, as [alpha]_s > 0
             v = tuple(map(add, v, step))

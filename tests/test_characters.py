@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loomfold
-from loomfold import folding, lattice, weyl
+from loomfold import folding, lattice
 from loomfold.cartan import build, build_affine, twisted_types
 from loomfold.characters import (
     MAX_DEGREE,
@@ -346,7 +346,7 @@ def test_multiplicity_check_survives_optimize():
         "if __debug__: sys.exit(3)\n"
         "from loomfold import cartan, characters\n"
         "real = characters.bar_inversion_parts\n"
-        "characters.bar_inversion_parts = lambda d, s: {b: (m + 1, f) for b, (m, f) in real(d, s).items()}\n"
+        "characters.bar_inversion_parts = lambda d, s: {b: (m + 1, x) for b, (m, x) in real(d, s).items()}\n"
         "try:\n"
         "    characters.char_exponents(cartan.build('D', 3, 2), 2)\n"
         "except characters.MultiplicityMismatch as exc:\n"
@@ -374,19 +374,27 @@ def test_cached_results_are_immutable():
         finite_positive_roots(d)[0] = (0, 0, 0)
     with pytest.raises(TypeError):
         parent_positive_roots(sigma_for(d))[0] = (0, 0, 0, 0)
-    with pytest.raises(AttributeError):
-        bar_inversion_parts(d, 1).clear()
     fibers = folding._fibers(sigma_for(d))
     beta = next(iter(fibers))
     with pytest.raises(TypeError):
         fibers[beta] = ()
     with pytest.raises(TypeError):
         fibers[beta][0] = (0, 0, 0, 0)
-    with pytest.raises(TypeError):
-        weyl._finite_root_norms(d)[(0, 1, 0)] = 0
     # the closure mapping is shared by every type with the same finite block
     with pytest.raises(TypeError):
         lattice._closure(d.gcm, range(1, d.rank))[(0, 1, 0)] = 0
     with pytest.raises(TypeError):
         lattice._closure(sigma_for(d).parent_gcm, range(1, 4))[(0, 1, 0, 0)] = 0
     assert char_exponents(d, 1) == before != []
+    # bar_inversion_parts is not cached: each call builds a fresh dict, so a
+    # caller that clears or rewrites one changes no later result
+    exps = {s: char_exponents(d, s) for s in (1, 2)}
+    reports = {s: repr(folding.verify_fold_identity(d, s)) for s in (1, 2)}
+    first = bar_inversion_parts(d, 1)
+    beta = next(iter(first))
+    first[beta] = (first[beta][0] + 1, first[beta][1] * 2)
+    bar_inversion_parts(d, 2).clear()
+    assert bar_inversion_parts(d, 1) != first
+    for s in (1, 2):
+        assert char_exponents(d, s) == exps[s] != []
+        assert repr(folding.verify_fold_identity(d, s)) == reports[s]

@@ -24,7 +24,7 @@ from loomfold.folding import (
     sigma_for,
     verify_fold_identity,
 )
-from loomfold.lattice import is_long, project_bar
+from loomfold.lattice import is_long, project_bar, root_norm
 from loomfold.weyl import inversion_set_detailed
 
 
@@ -199,47 +199,82 @@ def test_xi_case_tables():
             assert e.xi == expect, (key, s, e.beta)
 
 
+def _projected_parts(d, s):
+    """The definition: every root of Delta_+(t_{-lambda_s}) projected to its
+    finite part, counted with multiplicity, with its family kept."""
+    expect = {}
+    for v, fam in inversion_set_detailed(d, s):
+        bar = project_bar(d, v)
+        mult, tag = expect.get(bar, (0, fam))
+        assert tag == fam, (d.type, s, bar)
+        expect[bar] = (mult + 1, fam)
+    return expect
+
+
 def test_xi_a2n2_families():
     d = build("A", 4, 2)
     for s in (1, 2):
+        families = {b: fam for b, (_, fam) in _projected_parts(d, s).items()}
         parts = bar_inversion_parts(d, s)
         report = verify_fold_identity(d, s)
-        assert [e.beta for e in report] == sorted(parts)
+        assert [e.beta for e in report] == sorted(parts) == sorted(families)
         for e in report:
-            beta, fam = e.beta, parts[e.beta][1]
-            assert e.xi == (Fraction(1) if fam == 1 else Fraction(1, 2))
+            beta, fam = e.beta, families[e.beta]
+            assert e.xi == parts[beta][1] == (Fraction(1) if fam == 1 else Fraction(1, 2))
             # doubled short roots are exactly the family-2 parts
             assert (fam == 2) == (beta[s] % 2 == 0 and all(x % 2 == 0 for x in beta))
 
 
 def test_bar_inversion_parts_match_projected_inversion_set():
-    # the definition: project every root of Delta_+(t_{-lambda_s}) to its
-    # finite part, counting multiplicity and keeping the family
+    # multiplicities as counted by the definition; xi is 1 / family on
+    # A_{2n}^(2), and xi [beta]_s is the multiplicity on every type
     for at in all_affine_types(12):
         d = build_affine(at)
         for s in range(1, d.n + 1):
-            expect = {}
-            for v, fam in inversion_set_detailed(d, s):
-                bar = project_bar(d, v)
-                mult, tag = expect.get(bar, (0, fam))
-                assert tag == fam, (at, s, bar)
-                expect[bar] = (mult + 1, fam)
-            assert dict(bar_inversion_parts(d, s)) == expect, (at, s)
+            expect = _projected_parts(d, s)
+            parts = bar_inversion_parts(d, s)
+            assert {b: m for b, (m, _) in parts.items()} == {b: m for b, (m, _) in expect.items()}, (at, s)
+            for b, (m, xi) in parts.items():
+                fam = expect[b][1]
+                assert (fam is None) != d.type.is_a2n2, (at, s, b)
+                assert fam is None or xi == Fraction(1, fam), (at, s, b)
+                assert xi * b[s] == m, (at, s, b)
+
+
+def test_xi_matches_root_norm_oracle():
+    # xi from the bilinear form alone, not from the closure's origins:
+    # d_s / gamma on twisted types (gamma = r for the roots of norm 2r),
+    # 1 on untwisted types, and on A_{2n}^(2) 1/2 on the family-2 parts
+    # 2 alpha, the only ones of norm 8, and 1 on the rest
+    checked = 0
+    for at in all_affine_types(12):
+        d = build_affine(at)
+        r = d.type.r
+        for s in range(1, d.n + 1):
+            for b, (_, xi) in bar_inversion_parts(d, s).items():
+                if d.type.is_untwisted:
+                    expect = Fraction(1)
+                elif d.type.is_a2n2:
+                    expect = Fraction(1, 2) if root_norm(d, b) == 8 else Fraction(1)
+                else:
+                    expect = Fraction(d.sym[s], r if root_norm(d, b) == 2 * r else 1)
+                assert xi == expect, (at, s, b)
+                checked += 1
+    assert checked > 20_000
 
 
 def test_family_mismatch_from_crafted_norms(monkeypatch):
     # no real root system reaches the check: 2 alpha is never a root.  A
-    # table where alpha_1 is short and 2 alpha_1 is a root of its own puts
-    # family 1 and family 2 on the same finite part
+    # closure where alpha_1 is short (origin node 1, d_1 = 1) and 2 alpha_1
+    # is a root of its own puts family 1 and family 2 on the same finite part
     d = build("A", 2, 2)
-    monkeypatch.setattr(weyl, "_finite_root_norms", lambda data: {(0, 1): 2, (0, 2): 8})
-    bar_inversion_parts.cache_clear()
+    assert d.sym[1] == 1
+    monkeypatch.setattr(weyl, "_closure", lambda gcm, nodes: {(0, 1): 1, (0, 2): 1})
     weyl._root_steps.cache_clear()
     try:
         with pytest.raises(FamilyMismatch, match=r"\(0, 2\) of A2~2 s=1 arises from families 2 and 1"):
             bar_inversion_parts(d, 1)
     finally:
-        bar_inversion_parts.cache_clear()
         weyl._root_steps.cache_clear()
 
 

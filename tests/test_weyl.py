@@ -377,11 +377,22 @@ def test_lambda_pairing_rejects_wrong_length(length):
 
 
 def test_finite_root_norms_match_root_norm():
+    # the root lengths that the step table reads off the closure's origins,
+    # against the bilinear form: gamma = r exactly for the roots of norm 2r,
+    # and on A_{2n}^(2) a family-2 row exactly for the roots of norm 2
     for at in all_affine_types(12):
         d = build_affine(at)
-        norms = weyl._finite_root_norms(d)
-        assert list(norms) == list(finite_positive_roots(d))
-        assert all(norms[al] == root_norm(d, al) for al in norms), at
+        r = d.type.r
+        rows = weyl._root_steps(d)
+        family1 = [al for al, _, _, fam, _, _ in rows if fam != 2]
+        assert family1 == list(finite_positive_roots(d)), at
+        if d.type.is_a2n2:
+            assert all(gam == 1 for _, gam, *_ in rows), at
+            assert ({al for al, _, _, fam, _, _ in rows if fam == 2}
+                    == {al for al in family1 if root_norm(d, al) == 2}), at
+        else:
+            assert all(gam == (r if root_norm(d, al) == 2 * r else 1)
+                       for al, gam, *_ in rows), at
 
 
 def test_translation_matches_dense_construction():
