@@ -61,8 +61,8 @@ class MultiplicityMismatch(ValueError):
 
 
 # the series work grows polynomially in the degree, with the rank in the
-# exponent; at 24, on a 2-vCPU Xeon VM, verify-all takes about 5 s and
-# 37 MB, and the largest char query measured (A64~1 node 32) 5.6 s and 205 MB
+# exponent; at 24, on a 2-vCPU Xeon VM, verify-all takes about 3.5 s and
+# 36 MB, and the largest char query measured (A64~1 node 32) 2 s and 178 MB
 MAX_DEGREE = 24
 
 
@@ -95,18 +95,6 @@ class CharSeries:
     rank: int                 # finite rank n; exponent tuples have length n+1, slot 0 = 0
     degree: int               # total-height truncation bound
     buckets: tuple[dict[int, int], ...]   # height 0..degree -> {packed monomial: coefficient}
-
-    @classmethod
-    def from_terms(cls, rank: int, degree: int, terms) -> CharSeries:
-        """The series with the given {exponent tuple: coefficient} terms."""
-        _check_degree(degree)
-        series = cls(rank=rank, degree=degree, buckets=tuple({} for _ in range(degree + 1)))
-        for m, c in terms.items():
-            k = series._key(m)
-            if k is None:
-                raise ValueError(f"{m} is not a monomial of height <= {degree} in {rank + 1} slots")
-            series.buckets[sum(m)][k] = c
-        return series
 
     def _key(self, m) -> int | None:
         """The packed key of m, or None when m is no monomial of this series."""

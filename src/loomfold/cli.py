@@ -303,12 +303,9 @@ def cmd_eta(args) -> int:
 def _serre_report() -> tuple[str, int]:
     """serre-check's output and exit code; it takes no arguments, so they are
     computed once per process."""
-    cases = [(case, {"case": case}) for case in ("i1j0_D", "i0j1_D")]
-    cases += [(f"generic(a_ij={a_ij},d_i={d_i})", {"case": "generic", "a_ij": a_ij, "d_i": d_i})
-              for a_ij, d_i in ((0, 1), (-1, 1), (-1, 2), (-2, 1), (-3, 1))]
     out: dict = {"cases": {}}
     code = 0
-    for name, kwargs in cases:
+    for name, kwargs in verify._SERRE_CASES:
         try:
             coeffs = qsymbolic.serre_coeff_check(**kwargs)
             out["cases"][name] = {"coefficients": [p.json_map() for p in coeffs], "ok": True}

@@ -137,9 +137,9 @@ def _sigma_for(data: AffineData) -> OrbitMap:
                     parent_gcm=tuple(tuple(row) for row in pgcm))
 
 
-@functools.cache
 def parent_positive_roots(om: OrbitMap) -> tuple[Vec, ...]:
-    """Positive roots of the simply-laced parent, as (N+1)-tuples with slot 0 = 0."""
+    """Positive roots of the simply-laced parent, as (N+1)-tuples with slot 0 = 0;
+    a copy of the block closure, which is walked once per block."""
     return tuple(_closure(om.parent_gcm, range(1, om.parent_rank + 1)))
 
 
@@ -152,11 +152,6 @@ def _fold_roots(om: OrbitMap, betas) -> list[Vec]:
     sums = [functools.reduce(functools.partial(map, add), map(cols.__getitem__, orb))
             for orb in om.orbits]
     return list(zip(repeat(0), *sums))
-
-
-def fold_root(om: OrbitMap, beta: Vec) -> Vec:
-    """Pi: alpha_i -> alpha_{bar i}, summed linearly over parent coordinates."""
-    return _fold_roots(om, (beta,))[0]
 
 
 @functools.cache

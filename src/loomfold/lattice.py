@@ -1,4 +1,4 @@
-"""Exact vectors over simple roots, finite root enumeration, and projections.
+"""Exact vectors over simple roots and finite root enumeration.
 
 A lattice vector is a plain tuple of ints indexed by node id 0..n; vectors
 in the finite sublattice (spanned by alpha_1..alpha_n) have coordinate 0
@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from types import MappingProxyType
 
-from .cartan import AffineData, IndexOutOfRange, Vec, _bonds, _leading_minors, bilinear
+from .cartan import Vec, _bonds, _leading_minors
 
 
 def is_negative(v: Vec) -> bool:
@@ -96,31 +96,3 @@ def _block_closure(m: int, nodes: tuple[int, ...], entries: tuple[int, ...]) -> 
             gcm[i][j] = next(it)
     # called by its module name, so a tracer that replaces it times the walk
     return MappingProxyType(closure_positive_roots(gcm, nodes))
-
-
-@functools.cache
-def finite_positive_roots(data: AffineData) -> tuple[Vec, ...]:
-    """Positive roots of the underlying finite system (nodes 1..n), sorted."""
-    return tuple(_closure(data.gcm, range(1, data.rank)))
-
-
-def project_bar(data: AffineData, v: Vec) -> Vec:
-    """Orthogonal projection onto the finite part: delta -> 0, alpha_i -> alpha_i.
-
-    Uses alpha_0 = (delta - theta)/a_0 with a_0 = 1, so the result stays
-    integral on the root lattice.
-    """
-    if len(v) != data.rank:
-        raise IndexOutOfRange(f"expected length {data.rank}")
-    k = v[0]  # a_0 = 1, so the alpha_0-coordinate is the delta multiple
-    return tuple(0 if i == 0 else v[i] - k * data.theta[i] for i in range(data.rank))
-
-
-def root_norm(data: AffineData, v: Vec) -> int:
-    """(v, v) under the symmetrized form."""
-    return bilinear(data, v, v)
-
-
-def is_long(data: AffineData, v: Vec) -> bool:
-    """Long root test for twisted types: (beta, beta) = 2r (short roots have norm 2)."""
-    return root_norm(data, v) == 2 * data.type.r

@@ -163,17 +163,16 @@ def qbinom(n: int, k: int, d: int = 1) -> LaurentPoly:
 class EllWeight:
     """Psi(z) = omega * num(z)/den(z) with degree <= 1 numerator and denominator.
 
-    Coefficients live in z^{d_twist}-steps; omega stays a formal tag.
+    Coefficients live in z^d-steps, d as in psi_from_bc; omega stays a formal tag.
     """
 
     omega: str
-    num: tuple       # (LaurentPoly, LaurentPoly): constant and z^{d_twist} coefficient
+    num: tuple       # (LaurentPoly, LaurentPoly): constant and z^d coefficient
     den: tuple
-    d_twist: int
     kind: str        # constant | polynomial | pole | generic
 
     def expand(self, nterms: int) -> list[LaurentPoly]:
-        """Coefficients of z^{0}, z^{d_twist}, ..., omega-normalized.
+        """Coefficients of z^0, z^d, z^{2d}, ..., omega-normalized.
 
         num/den expanded geometrically: den = 1 - u z^d gives 1/den = sum u^k.
         """
@@ -191,7 +190,7 @@ class EllWeight:
 
 
 def psi_from_bc(omega: str, b: LaurentPoly, c: LaurentPoly, o: int = 1,
-                d: int = 1, d_twist: int = 1) -> EllWeight:
+                d: int = 1) -> EllWeight:
     """The l-weight of a vector with E_a E_{d delta - a} v = b v, E_{2 d delta - a} v = c E_{d delta - a} v.
 
     Psi(z) = omega (1 - (c + b(q_i^{-1} - q_i^{-3})) o z^{d}) / (1 - o c z^{d}).
@@ -208,7 +207,7 @@ def psi_from_bc(omega: str, b: LaurentPoly, c: LaurentPoly, o: int = 1,
     else:
         kind = "generic"
     return EllWeight(omega=omega, num=(LaurentPoly.one(), num1),
-                     den=(LaurentPoly.one(), den1), d_twist=d_twist, kind=kind)
+                     den=(LaurentPoly.one(), den1), kind=kind)
 
 
 def psi_series_direct(b: LaurentPoly, c: LaurentPoly, o: int, d: int,

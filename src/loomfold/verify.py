@@ -1,6 +1,7 @@
 """The checks of `loomfold verify-all`, one implementation each, and its suites.
 
-`oracle` and `series_check` also serve `inversions` and `char --fold-check`.
+`oracle` and `series_check` also serve `inversions` and `char --fold-check`,
+and the Serre case list serves `serre-check`.
 Each suite generator yields `(suite, label, ok, detail)` cells, and `cells`
 chains them in verify-all's order; the tests iterate the same generators.
 Layer functions are called through their modules, so that a tracer which
@@ -94,12 +95,23 @@ def _eta_failure(family: str, n: int, o: int) -> str:
     return ""
 
 
+# serre_coeff_check's cases as (name, kwargs): serre-check reports all of them
+# under these names, and the qsymbolic cell checks the first two, the D cases
+_SERRE_CASES = (
+    ("i1j0_D", {"case": "i1j0_D"}),
+    ("i0j1_D", {"case": "i0j1_D"}),
+    *((f"generic(a_ij={a_ij},d_i={d_i})", {"case": "generic", "a_ij": a_ij, "d_i": d_i})
+      for a_ij, d_i in ((0, 1), (-1, 1), (-1, 2), (-2, 1), (-3, 1))),
+)
+
+
 def qsymbolic_cells():
-    """One cell: the quantum Serre cancellations, then, for n = 2..10, both minuscule
-    families and o = +-1, the eta cancellation and Psi(z) = omega / (1 - a eta z)."""
+    """One cell: the quantum Serre cancellations of the D cases, then, for n = 2..10,
+    both minuscule families and o = +-1, the eta cancellation and
+    Psi(z) = omega / (1 - a eta z)."""
     try:
-        qsymbolic.serre_coeff_check("i1j0_D")
-        qsymbolic.serre_coeff_check("i0j1_D")
+        for _, kwargs in _SERRE_CASES[:2]:
+            qsymbolic.serre_coeff_check(**kwargs)
     except qsymbolic.NonzeroCoefficient as exc:
         yield "qsymbolic", "identities", False, str(exc)
         return

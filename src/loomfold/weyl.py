@@ -35,12 +35,6 @@ def _shape(mat: Matrix) -> str:
     return f"{len(mat)}x{'|'.join(map(str, widths))}"
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    m = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m))
-                 for i in range(m))
-
-
 @dataclass(frozen=True)
 class ExtWeylElt:
     """Exact matrix action on affine root-lattice coordinates; matrix . inverse = I."""
@@ -72,18 +66,6 @@ class ExtWeylElt:
         if len(v) != len(self.matrix):
             raise DimensionMismatch(f"expected a vector of length {len(self.matrix)}, got {len(v)}")
         return tuple(sum(map(mul, row, v)) for row in self.matrix)
-
-    def compose(self, other: "ExtWeylElt") -> "ExtWeylElt":
-        return ExtWeylElt(_matmul(self.matrix, other.matrix),
-                          _matmul(other.inverse, self.inverse))
-
-
-def simple_reflection(data: AffineData, i: int) -> ExtWeylElt:
-    """The reflection s_i: alpha_j -> alpha_j - a_ij alpha_i; its own inverse."""
-    m = data.rank
-    data.check_node(i, 0)
-    mat = tuple(tuple(int(k == j) - (k == i) * data.gcm[i][j] for j in range(m)) for k in range(m))
-    return ExtWeylElt(mat, mat)
 
 
 def _scale(data: AffineData, s: int) -> int:
@@ -258,7 +240,7 @@ def inversion_set_from_word(data: AffineData, word) -> list[Vec]:
 def _root_steps(data: AffineData) -> tuple[tuple[Vec, int, Vec, int | None, Vec, Vec], ...]:
     """The node-independent half of _finite_parts: rows (alpha, gamma, part,
     family, first, step), one per finite root alpha and family, in
-    finite_positive_roots order; a node's parts are the rows with [alpha]_s > 0.
+    block-closure order; a node's parts are the rows with [alpha]_s > 0.
 
     The closure maps alpha to the simple node o it is W-conjugate to, and
     reflections preserve the form, so (alpha, alpha) = 2 d_o: alpha is long

@@ -8,7 +8,6 @@ import time
 from loomfold.cartan import all_affine_types, bilinear, build, build_affine
 from loomfold.characters import char_product, product_from_exponents
 from loomfold.folding import verify_fold_identity
-from loomfold.lattice import project_bar
 from loomfold.pbw import classify_x0, eprime_graph, minuscule_case
 from loomfold.qsymbolic import eta_case, q_power, qint, serre_coeff_check
 from loomfold.weyl import (
@@ -19,6 +18,8 @@ from loomfold.weyl import (
     translation_minus_lambda,
 )
 from loomfold.verify import fold_cells, oracle_cells, series_cells
+
+from _oracles import project_bar
 
 
 def _elapsed(t0):

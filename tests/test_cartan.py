@@ -17,7 +17,8 @@ from loomfold.cartan import (
     _leading_minors,
 )
 from loomfold.folding import sigma_for
-from loomfold.lattice import finite_positive_roots, root_norm
+
+from _oracles import finite_positive_roots, root_norm
 
 # Printed node labels from the diagram table, in node order 0..n.
 LABEL_FIXTURES = {

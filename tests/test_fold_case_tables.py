@@ -8,12 +8,12 @@ analysis.  Long images are tracked separately as a length cross-check.
 
 from loomfold.cartan import build
 from loomfold.folding import (
-    fold_root,
     parent_positive_roots,
     sigma_for,
     verify_fold_identity,
 )
-from loomfold.lattice import is_long, root_norm
+
+from _oracles import fold_root, is_long, root_norm
 
 E62_S2_TABLE = [
     ((0, 1, 0, 0, 0, 0), (0, 1, 0, 0)),

@@ -3,16 +3,18 @@
 import pytest
 
 from loomfold import lattice
-from loomfold.cartan import all_affine_types, bilinear, build, build_affine, twisted_types
-from loomfold.folding import parent_positive_roots, sigma_for
-from loomfold.lattice import (
+from loomfold.cartan import (
     IndexOutOfRange,
-    NotFiniteType,
-    closure_positive_roots,
-    finite_positive_roots,
-    project_bar,
-    root_norm,
+    all_affine_types,
+    bilinear,
+    build,
+    build_affine,
+    twisted_types,
 )
+from loomfold.folding import parent_positive_roots, sigma_for
+from loomfold.lattice import NotFiniteType, closure_positive_roots
+
+from _oracles import finite_positive_roots, project_bar, root_norm
 
 CLASSICAL_COUNTS = {
     ("A", 1): 36, ("B", 1): None, ("C", 1): None, ("D", 1): None,
@@ -142,8 +144,6 @@ def test_closure_matches_naive_reference():
 def test_one_closure_per_distinct_block():
     # types and parents that share a finite block share one walk: 117 root
     # requests with n <= 12 walk 64 distinct blocks
-    finite_positive_roots.cache_clear()
-    parent_positive_roots.cache_clear()
     lattice._block_closure.cache_clear()
     requests = 0
     for at in all_affine_types(12):

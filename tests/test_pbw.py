@@ -110,7 +110,7 @@ def test_classify_x0_simply_laced_value():
 def test_theta_is_unique_max_height_in_length_class():
     # theta tops its own length class; a longer long root may sit above it
     # (A5~2 s=1 contains 2a1+2a2+a3 of height 5 over ht(theta) = 4)
-    from loomfold.lattice import root_norm
+    from _oracles import root_norm
     for case in all_minuscule_cases(8):
         d = case.data
         norm = root_norm(d, d.theta)

@@ -192,8 +192,8 @@ def _failing_cell(monkeypatch, name, fake):
                                             ((-1,), "A2n-1~2 n=2 o=-1")])
 def test_qsymbolic_cell_names_a_psi_that_is_no_pole(monkeypatch, doubled, where):
     # doubling c leaves c + b (q^-1 - q^-3) = c, so Psi(z) has a numerator
-    def psi(omega, b, c, o=1, d=1, d_twist=1):
-        return psi_from_bc(omega, b, 2 * c if o in doubled else c, o, d, d_twist)
+    def psi(omega, b, c, o=1, d=1):
+        return psi_from_bc(omega, b, 2 * c if o in doubled else c, o, d)
     detail = _failing_cell(monkeypatch, "psi_from_bc", psi)
     assert detail == f"Psi(z) is generic, not a single pole for {where}"
 
