@@ -61,8 +61,8 @@ class MultiplicityMismatch(ValueError):
 
 
 # the series work grows polynomially in the degree, with the rank in the
-# exponent; at 24, on a 2-vCPU Xeon VM, verify-all takes about 3.5 s and
-# 36 MB, and the largest char query measured (A64~1 node 32) 2 s and 178 MB
+# exponent; at 24, on a 2-vCPU Xeon VM, verify-all takes about 2.5-2.8 s and
+# 36 MB, and the largest char query measured (A64~1 node 32) 1.7-1.9 s and 170 MB
 MAX_DEGREE = 24
 
 

@@ -4,17 +4,20 @@ Type strings use `~` for the twist superscript (A5~2 means the second
 twist of A_5) to stay shell-safe.  All subcommands are pure functions of
 their arguments; JSON output has sorted keys and no timestamps.  Exit
 codes: 0 ok, 1 verification failure, 2 usage error, 141 (128 + SIGPIPE)
-when the reader closes stdout early, which prints nothing.
+when the reader closes stdout early, which prints nothing, and 74 (EX_IOERR)
+when stdout cannot be written.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import re
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import cartan, characters, folding, pbw, qsymbolic, verify, weyl
 from .cartan import AffineData, InvalidType
@@ -36,19 +39,17 @@ class OutOfRange(ValueError):
 
 
 class UsageError(ValueError):
-    """A command line that argparse cannot parse."""
+    """A command line that `_parse` rejects."""
 
 
-class _Parser(argparse.ArgumentParser):
-    # raise, so that main() prints one "error:" line, not argparse's usage text
-    def error(self, message):
-        raise UsageError(message)
+class _BadInteger(ValueError):
+    """Text that is not an integer in the command line's one integer syntax."""
 
 
 # affine_type builds an N-long diagram and the Cartan build is O(N^2) on a
 # Dynkin diagram (Bareiss elimination with deferred rescaling), so the CLI
 # caps N before calling either; at the cap, on a 2-vCPU Xeon VM, `cartan
-# --type D64~1` takes about 0.15 s, mostly interpreter start, and building
+# --type D64~1` takes about 0.08 s, mostly interpreter start, and building
 # every type with n <= 64 about 0.33-0.47 s
 MAX_RANK = 64
 
@@ -60,14 +61,13 @@ _INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _integer(text: str) -> int:
-    """text as an int when it is in the integer syntax, else ArgumentTypeError,
-    which argparse reports with its message."""
+    """text as an int when it is in the integer syntax, else _BadInteger."""
     if _INTEGER.fullmatch(text) is None:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in canonical ASCII form")
+        raise _BadInteger(f"{text!r} is not an integer in canonical ASCII form")
     try:
         return int(text)
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise _BadInteger(str(exc)) from None
 
 
 def _degree(k: int) -> int:
@@ -102,7 +102,7 @@ def _type_integer(text: str, start: int, stop: int, what: str) -> int:
     """text[start:stop] by `_integer`, or ParseError at start."""
     try:
         return _integer(text[start:stop])
-    except argparse.ArgumentTypeError as exc:
+    except _BadInteger as exc:
         raise ParseError(f"expected {what}: {exc}", start) from None
 
 
@@ -167,15 +167,13 @@ def _monomial_key(m) -> str:
 
 
 def _series_labels(ser: characters.CharSeries) -> dict[str, int]:
-    """{_monomial_key(m): c} over ser's terms, unordered, from each bucket's digit columns."""
+    """{_monomial_key(m): c} over ser's terms, unordered, from one decode of the
+    digit columns of every bucket's keys, in bucket order."""
     base = ser.degree + 1
     digits = [str(x) for x in range(base)]  # every coordinate is at most the degree
-    out: dict[str, int] = {}
-    for bucket in ser.buckets:
-        cols = characters._digit_columns(bucket, base, ser.rank + 1)
-        labels = map(",".join, zip(*[map(digits.__getitem__, col) for col in cols[1:]]))
-        out.update(zip(labels, bucket.values()))
-    return out
+    cols = characters._digit_columns([*chain.from_iterable(ser.buckets)], base, ser.rank + 1)
+    labels = map(",".join, zip(*[map(digits.__getitem__, col) for col in cols[1:]]))
+    return dict(zip(labels, chain.from_iterable(map(dict.values, ser.buckets))))
 
 
 def cmd_cartan(args) -> int:
@@ -337,70 +335,192 @@ def cmd_verify_all(args) -> int:
     return 0 if failures == 0 else 1
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The argument parser, built on the first call and reused by every later one.
+class _Option(NamedTuple):
+    """One option of a command: `convert` reads its value, which must then be
+    one of `choices` when there are any; a flag takes no value."""
+    help: str
+    convert: Callable[[str], object] = str
+    choices: tuple = ()
+    default: object = None
+    required: bool = False
+    flag: bool = False
 
-    It holds no command functions: `main` looks each `cmd_*` up by name at
-    call time, so a function replaced on this module after the first call
-    still runs.
+
+_TYPE = _Option("affine type FAMILY N ~ r, e.g. A5~2", required=True)
+_NODE = _Option("node s in 1..n", _integer, required=True)
+_DEGREE = _Option(f"height bound 0..{MAX_DEGREE}", _integer, default=12)
+
+# command -> (help line, {option: _Option}); `main` looks up `cmd_<command>`
+# by name at call time, so a function replaced on this module still runs
+_COMMANDS = {
+    "cartan": ("dump the Cartan datum of one affine type", {"--type": _TYPE}),
+    "inversions": ("inversion set of t_{-lambda_s}, by word and/or closed form", {
+        "--type": _TYPE, "--node": _NODE,
+        "--method": _Option("word, closed or both", choices=("word", "closed", "both"),
+                            default="both")}),
+    "fold-verify": ("check the folding exponent identity", {
+        "--type": _TYPE, "--node": _Option("node s in 1..n; all nodes when absent", _integer),
+        "--all": _Option("all nodes of the type", default=False, flag=True)}),
+    "char": ("truncated character product of L_{s,a}", {
+        "--type": _TYPE, "--node": _NODE, "--degree": _DEGREE,
+        "--fold-check": _Option("also compare against the folded untwisted parent series",
+                                default=False, flag=True)}),
+    "pbw-graph": ("e'-derivation graph at a minuscule node", {
+        "--type": _TYPE, "--node": _NODE,
+        "--format": _Option("dot or json", choices=("dot", "json"), default="json")}),
+    "eta": ("b, c and eta data for the minuscule twisted families", {
+        "--type": _TYPE, "--o": _Option("1 or -1", _integer, (1, -1), 1)}),
+    "serre-check": ("quantum Serre coefficient cancellations", {}),
+    "verify-all": ("run the full verification matrix", {
+        "--degree": _DEGREE,
+        "--inject-fault": _Option("test-only: flip one xi value and expect a failure",
+                                  default=False, flag=True)}),
+}
+
+_HELP = ("-h", "--help")
+
+_ABOUT = ("Exact affine root-system data, folding, and character identities. Types are "
+          f"written FAMILY N ~ r, e.g. A5~2, D4~1, E6~2, with N <= {MAX_RANK}.")
+
+# an argument that is no option and looks like a negative number is a value
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _classify(arg: str, names: tuple[str, ...]) -> tuple[str | None, str | None] | None:
+    """How the command line reads arg among the option names: None for a value,
+    else (the option, or None for an unknown one; the text glued to it, or None).
+
+    An option may be a unique prefix of a name (`--ty`), and may carry its
+    value after '=' (`--type=A5~2`); -h may carry text directly (`-hx`).
     """
-    top = _Parser(
-        prog="loomfold",
-        description="Exact affine root-system data, folding, and character identities. "
-                    "Types are written FAMILY N ~ r, e.g. A5~2, D4~1, E6~2, "
-                    f"with N <= {MAX_RANK}.")
-    sub = top.add_subparsers(dest="command", required=True)
+    if arg in names:
+        return arg, None
+    if arg[:1] != "-" or len(arg) == 1:
+        return None
+    head, eq, text = arg.partition("=")
+    if eq and head in names:
+        return head, text
+    if arg[1] == "-":
+        matches = [(name, text if eq else None) for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {arg} could match "
+                             f"{', '.join(name for name, _ in matches)}")
+    else:  # -h is the one short option, and takes text glued to it
+        matches = [("-h", arg[2:])] if arg[:2] == "-h" else []
+    if matches:
+        return matches[0]
+    return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
 
-    p = sub.add_parser("cartan", help="dump the Cartan datum of one affine type")
-    p.add_argument("--type", required=True)
 
-    p = sub.add_parser("inversions", help="inversion set of t_{-lambda_s}, by word and/or closed form")
-    p.add_argument("--type", required=True)
-    p.add_argument("--node", type=_integer, required=True)
-    p.add_argument("--method", choices=("word", "closed", "both"), default="both")
+def _flag(name: str, text: str | None, command: str | None) -> None:
+    """Read a flag or -h/--help (at top level when command is None): raise
+    UsageError when text is glued to it, and print the help and exit 0 for help."""
+    if name == "-h" and text:
+        text = text.lstrip("h") or None  # -hh is -h -h
+    if text is not None:
+        raise UsageError(f"argument {'-h/--help' if name in _HELP else name}: "
+                         f"ignored explicit argument {text!r}")
+    if name in _HELP:
+        print(_help_text(command))
+        raise SystemExit(0)
 
-    p = sub.add_parser("fold-verify", help="check the folding exponent identity")
-    p.add_argument("--type", required=True)
-    p.add_argument("--node", type=_integer)
-    p.add_argument("--all", action="store_true", help="all nodes of the type")
 
-    p = sub.add_parser("char", help="truncated character product of L_{s,a}")
-    p.add_argument("--type", required=True)
-    p.add_argument("--node", type=_integer, required=True)
-    p.add_argument("--degree", type=_integer, default=12)
-    p.add_argument("--fold-check", action="store_true",
-                   help="also compare against the folded untwisted parent series")
+def _help_text(command: str | None) -> str:
+    """The help of the command line (command None) or of one command, from the table."""
+    if command is None:
+        usage, about, kind = "[-h] COMMAND", _ABOUT, "commands"
+        rows = [(name, line) for name, (line, _) in _COMMANDS.items()]
+    else:
+        (about, options), usage, kind = _COMMANDS[command], f"{command} [-h]", "options"
+        rows = [("-h, --help", "show this help and exit")] + [
+            (name, opt.help + ("" if opt.flag else " (required)" if opt.required else
+                               f" (default {opt.default})")) for name, opt in options.items()]
+    return "\n".join([f"usage: loomfold {usage} [OPTIONS]", "", about, "", f"{kind}:",
+                      *(f"  {name:14} {text}" for name, text in rows)])
 
-    p = sub.add_parser("pbw-graph", help="e'-derivation graph at a minuscule node")
-    p.add_argument("--type", required=True)
-    p.add_argument("--node", type=_integer, required=True)
-    p.add_argument("--format", choices=("dot", "json"), default="json")
 
-    p = sub.add_parser("eta", help="b, c and eta data for the minuscule twisted families")
-    p.add_argument("--type", required=True)
-    p.add_argument("--o", type=_integer, choices=(1, -1), default=1)
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and its options, with the defaults of those not given.
 
-    sub.add_parser("serre-check", help="quantum Serre coefficient cancellations")
-
-    p = sub.add_parser("verify-all", help="run the full verification matrix")
-    p.add_argument("--degree", type=_integer, default=12)
-    p.add_argument("--inject-fault", action="store_true",
-                   help="test-only: flip one xi value and expect a failure")
-    return top
+    Each command line is read, and rejected with the same message, as by the
+    argparse tree that this table replaced, but for one form: `--opt=--`
+    gives the text '--'.  Options are read in order, and the last of a
+    repeated one wins; a value is the next argument unless that is an option
+    or '--'.  An ambiguous prefix is rejected before the rest is read;
+    missing options, then unrecognized arguments, after it.
+    """
+    extras = []
+    for i, arg in enumerate(argv):
+        kind = None if arg == "--" else _classify(arg, _HELP)
+        if kind is None:
+            break
+        if kind[0] is not None:
+            _flag(*kind, None)
+        extras.append(arg)
+    else:
+        i = len(argv)
+    if argv[i:] in ([], ["--"]):  # '--' needs a command after it
+        raise UsageError("the following arguments are required: command")
+    command, rest = argv[i], argv[i + 1:]
+    if command not in _COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {command!r} "
+                         f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    options = _COMMANDS[command][1]
+    stop = rest.index("--") if "--" in rest else len(rest)  # all after '--' are values
+    kinds = [_classify(arg, (*_HELP, *options)) for arg in rest[:stop]]
+    values = {name: opt.default for name, opt in options.items()}
+    j = 0
+    while j < len(rest):
+        name, text = (kinds[j] if j < stop else None) or (None, None)
+        j += 1
+        if name is None:
+            extras.append(rest[j - 1])
+            continue
+        opt = options.get(name)
+        if opt is None or opt.flag:
+            _flag(name, text, command)
+            values[name] = True
+            continue
+        if text is None:
+            if j >= stop or kinds[j] is not None:
+                raise UsageError(f"argument {name}: expected one argument")
+            text = rest[j]
+            j += 1
+        try:
+            values[name] = opt.convert(text)
+        except _BadInteger as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
+        if opt.choices and values[name] not in opt.choices:
+            raise UsageError(f"argument {name}: invalid choice: {values[name]!r} "
+                             f"(choose from {', '.join(map(repr, opt.choices))})")
+    # a required option has no default, and a value read is never None
+    missing = [name for name, opt in options.items() if opt.required and values[name] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **{name[2:].replace("-", "_"): value
+                                               for name, value in values.items()})
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            raise OSError("stdout is closed")
         code = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()  # a reader that closed the pipe is seen here, not at exit
         return code
-    except BrokenPipeError:
-        # point stdout at devnull, so the flush at exit cannot raise again
-        # (as the Python docs of the signal module advise), and exit quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, as a shell reports a stage that SIGPIPE ended
+    except OSError as exc:
+        # the library does no I/O, so this is a write to stdout that failed
+        if sys.stdout is not None:
+            # point stdout at devnull, so the flush at exit cannot raise again
+            # (as the Python docs of the signal module advise)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 141  # 128 + SIGPIPE, as a shell reports a stage that SIGPIPE ended; quiet
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 74  # EX_IOERR
     except (folding.IdentityViolation, qsymbolic.NonzeroCoefficient, weyl.NotReduced) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

@@ -5,9 +5,14 @@ tests.  Each is written from its definition and shares no code with the
 fast path it checks.
 """
 
+import argparse
+import functools
+
 from loomfold import lattice
 from loomfold.cartan import AffineData, IndexOutOfRange, Matrix, Vec, bilinear
 from loomfold.characters import CharSeries, _check_degree
+from loomfold.cli import MAX_RANK, UsageError
+from loomfold.cli import _integer as _cli_integer
 from loomfold.folding import OrbitMap
 from loomfold.weyl import ExtWeylElt
 
@@ -73,3 +78,70 @@ def series_from_terms(rank: int, degree: int, terms) -> CharSeries:
 def fold_root(om: OrbitMap, beta: Vec) -> Vec:
     """Pi: alpha_i -> alpha_{bar i}, summed linearly over parent coordinates."""
     return (0,) + tuple(sum(beta[i] for i in orb) for orb in om.orbits)
+
+
+# The argparse tree that `cli._parse` replaced, kept as the reference for its
+# parity test; `cli._parse` must read every command line as this one does.
+# It shares only cli's integer syntax, which test_cli checks on its own.
+
+class _Parser(argparse.ArgumentParser):
+    # raise the error cli._parse raises, so that the two compare message by message
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _integer(text: str) -> int:
+    """cli's integer syntax, failing with the ArgumentTypeError that argparse
+    reports by its message."""
+    try:
+        return _cli_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and reused by every later one."""
+    top = _Parser(
+        prog="loomfold",
+        description="Exact affine root-system data, folding, and character identities. "
+                    "Types are written FAMILY N ~ r, e.g. A5~2, D4~1, E6~2, "
+                    f"with N <= {MAX_RANK}.")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("cartan", help="dump the Cartan datum of one affine type")
+    p.add_argument("--type", required=True)
+
+    p = sub.add_parser("inversions", help="inversion set of t_{-lambda_s}, by word and/or closed form")
+    p.add_argument("--type", required=True)
+    p.add_argument("--node", type=_integer, required=True)
+    p.add_argument("--method", choices=("word", "closed", "both"), default="both")
+
+    p = sub.add_parser("fold-verify", help="check the folding exponent identity")
+    p.add_argument("--type", required=True)
+    p.add_argument("--node", type=_integer)
+    p.add_argument("--all", action="store_true", help="all nodes of the type")
+
+    p = sub.add_parser("char", help="truncated character product of L_{s,a}")
+    p.add_argument("--type", required=True)
+    p.add_argument("--node", type=_integer, required=True)
+    p.add_argument("--degree", type=_integer, default=12)
+    p.add_argument("--fold-check", action="store_true",
+                   help="also compare against the folded untwisted parent series")
+
+    p = sub.add_parser("pbw-graph", help="e'-derivation graph at a minuscule node")
+    p.add_argument("--type", required=True)
+    p.add_argument("--node", type=_integer, required=True)
+    p.add_argument("--format", choices=("dot", "json"), default="json")
+
+    p = sub.add_parser("eta", help="b, c and eta data for the minuscule twisted families")
+    p.add_argument("--type", required=True)
+    p.add_argument("--o", type=_integer, choices=(1, -1), default=1)
+
+    sub.add_parser("serre-check", help="quantum Serre coefficient cancellations")
+
+    p = sub.add_parser("verify-all", help="run the full verification matrix")
+    p.add_argument("--degree", type=_integer, default=12)
+    p.add_argument("--inject-fault", action="store_true",
+                   help="test-only: flip one xi value and expect a failure")
+    return top

@@ -17,6 +17,8 @@ from loomfold import cartan, characters, cli, qsymbolic, weyl
 from loomfold.cartan import all_affine_types
 from loomfold.cli import MAX_DEGREE, MAX_RANK, OutOfRange, ParseError, UnknownType, main, parse_type
 
+import _oracles
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -354,6 +356,12 @@ def test_help_exits_zero_after_a_call(capsys):
         main(["--help"])
     assert info.value.code == 0
     assert "serre-check" in capsys.readouterr().out
+    for command, (_, options) in cli._COMMANDS.items():
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0, command
+        out = capsys.readouterr().out
+        assert all(name in out for name in ("--help", *options)), command
 
 
 def test_command_replaced_after_first_call_is_the_one_run(capsys, monkeypatch):
@@ -362,18 +370,22 @@ def test_command_replaced_after_first_call_is_the_one_run(capsys, monkeypatch):
     assert run(capsys, "serre-check") == (7, "", "")
 
 
-def test_second_call_builds_no_parser(capsys, monkeypatch):
-    run(capsys, "serre-check")
-    built = []
-    real_init = cli._Parser.__init__
+def _child(args, **kwargs):
+    """A fresh interpreter with this loomfold on its path, run on args."""
+    src = os.path.dirname(os.path.dirname(loomfold.__file__))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+                          text=True, timeout=120, **kwargs)
 
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    code, _, _ = run(capsys, "eta", "--type", "D3~2")
-    assert (code, built) == (0, [])
+def test_cli_runs_without_argparse():
+    # the command table is parsed by hand: neither import nor a call loads argparse
+    script = ("import sys\n"
+              "import loomfold.cli\n"
+              "code = loomfold.cli.main(['cartan', '--type', 'A5~2'])\n"
+              "sys.exit(code or 10 * ('argparse' in sys.modules))\n")
+    proc = _child(["-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["kac"] == [1, 1, 2, 1]
 
 
 def test_verify_all_degree_zero(capsys):
@@ -464,6 +476,32 @@ def test_closed_stdout_pipe_exits_quietly(argv):
     assert code == 141
 
 
+def _assert_cannot_write(proc):
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 74, proc.stderr  # EX_IOERR
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["cartan", "--type", "A5~2"], ["verify-all", "--degree", "0"]])
+def test_full_disk_stdout_exits_74(argv):
+    # `loomfold ... > /dev/full`: the short output fails at the flush in main,
+    # the long one inside print, when the buffer first fills
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    with open("/dev/full", "w") as full:
+        _assert_cannot_write(_child(["-m", "loomfold.cli", *argv], stdout=full,
+                                    stderr=subprocess.PIPE))
+
+
+def test_closed_stdout_exits_74():
+    # `loomfold serre-check >&-`: Python starts with sys.stdout None
+    proc = _child(["-m", "loomfold.cli", "serre-check"], stderr=subprocess.PIPE,
+                  preexec_fn=lambda: os.close(1))
+    _assert_cannot_write(proc)
+    assert proc.stderr == "error: cannot write output: stdout is closed\n"
+
+
 # valid ranks stay small so the property runs in seconds; the ranks above the
 # cap are rejected before any build
 TYPE_TEXTS = st.one_of(
@@ -523,3 +561,104 @@ def test_main_exit_contract(query):
             assert code != 0
     if "--degree" in argv and int(argv[argv.index("--degree") + 1]) > MAX_DEGREE:
         assert code == 2
+
+
+# Parity with the argparse tree that the command table replaced (kept in
+# tests/_oracles.py): both sides accept or reject each line, parse the same
+# attributes, and reject with the same message.
+
+def _parse_outcome(parse, argv):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parse(list(argv))
+    except cli.UsageError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, bool(out.getvalue())
+    return "ok", vars(args)
+
+
+def _assert_parses_as_argparse(argv):
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(_oracles._parser().parse_args, argv)
+
+
+PARSE_EDGE_LINES = [
+    [], ["--x"], ["--"], ["--", "cartan"], ["--", "--"], ["-1"], ["foo"], ["CARTAN"], ["cart"],
+    ["-h"], ["--he"], ["--help", "cartan"], ["-x", "-h"], ["--=x"], ["--he=x", "cartan"], ["-hh"],
+    ["cartan"], ["cartan", "--type"], ["cartan", "--type", "-A5~2"], ["cartan", "--type", "-h"],
+    ["cartan", "--type", "--", "A5~2"], ["cartan", "--type", "A5~2", "--", "x"],
+    ["cartan", "--", "--type", "A5~2"], ["cartan", "--=x"], ["cartan", "--="],
+    ["serre-check", "--=x"], ["serre-check", "--"], ["serre-check", "x", "--", "-h"],
+    ["fold-verify", "--type", "A5~2", "--all=x"], ["fold-verify", "--type", "A5~2", "--all="],
+    ["cartan", "-hx"], ["cartan", "-h="], ["cartan", "-hh=x"], ["cartan", "-hhh"], ["cartan", "-h-"],
+    ["cartan", "--type", "A5~2", "-h=x"], ["cartan", "-h", "--type"], ["cartan", "-x", "-h"],
+    ["eta", "--type", "A5~2", "--o", "2"], ["eta", "--type", "A5~2", "--o", "-1"],
+    ["eta", "--type", "A5~2", "--o", "01"], ["eta", "--type", "A5~2", "--o=x"],
+    ["char", "--node", "\u0663"], ["char", "--type", "A5~2", "--node", "1", "--degree", "-3"],
+    ["cartan", "--type", "A5~2", "extra", "-1"], ["--x", "cartan", "--type", "A5~2", "--y"],
+    ["cartan", "--ty", "A5~2", "--type", "A6~2"], ["inversions", "--method", "x"],
+    ["inversions", "--type", "A5~2", "--node", "1", "--meth=word", "--method", "closed"],
+    ["cartan", "--type", "A5~2", "--type"], ["cartan", "--type", ""], ["", "--type", "A5~2"],
+    ["cartan", "--type", "A5~2", "-x y"], ["cartan", "--type", "-1.5"], ["cartan", "--type", "-.5"],
+    ["cartan", "--type", "-x y"], ["cartan", "--type", "-1\n"], ["cartan", "-", "--type", "x"],
+    ["char", "--ty=A5~2", "--no", "-1", "--deg=3", "--fold", "--fold-check"],
+    ["verify-all", "--inject"], ["verify-all", "--de", "0", "--inject-fault", "--in"],
+    ["pbw-graph", "--type", "D4~2", "--node", "3", "--form", "dot"],
+    ["fold-verify", "--type", "A5~2", "--node", "9" * 5000],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_EDGE_LINES)
+def test_parser_matches_argparse_on_edge_lines(argv):
+    _assert_parses_as_argparse(argv)
+
+
+PARSE_WORDS = (*cli._COMMANDS, "--type", "--node", "--degree", "--method", "--all", "--fold-check",
+               "--format", "--o", "--inject-fault", "--help", "-h", "--", "--ty", "--no", "--d",
+               "--fold", "--inject", "--meth", "--f", "--a", "-", "-hh", "-hx", "--=x")
+PARSE_VALUES = ("-1", "-A5~2", "\u0663", "", "01", "0", "1", "2", "3", "12", "A5~2", "D4~2", "word",
+                "closed", "both", "dot", "json", "x", "a b", "-x y", "-1.5", "-")
+
+
+@st.composite
+def command_lines(draw):
+    """A command line built mostly from one command's options, whole or as
+    prefixes, each with a value after it or glued by '=', among stray words."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    names = (*cli._COMMANDS[command][1], "--help")
+    option = st.one_of(st.sampled_from(names),
+                       st.builds(lambda name, k: name[:k], st.sampled_from(names), st.integers(2, 8)))
+    values = st.sampled_from(PARSE_VALUES)
+    given = st.one_of(st.tuples(option, values).map(list),
+                      st.tuples(option, values).map(lambda p: ["=".join(p)]))
+    stray = st.one_of(st.sampled_from(PARSE_WORDS), values).map(lambda arg: [arg])
+    piece = st.one_of(given, stray) if draw(st.booleans()) else given
+    argv = [command, *(arg for p in draw(st.lists(piece, max_size=5)) for arg in p)]
+    if draw(st.booleans()):  # the required options first, so that more lines parse
+        argv[1:1] = [arg for name, opt in cli._COMMANDS[command][1].items() if opt.required
+                     for arg in (name, "A5~2" if name == "--type" else "1")]
+    if draw(st.integers(0, 3)) == 0:  # no command first
+        argv[0] = draw(st.one_of(st.sampled_from(PARSE_WORDS), values))
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(command_lines())
+def test_parser_matches_argparse(argv):
+    _assert_parses_as_argparse(argv)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("inversions", "--type", "A5~2", "--node=--"),
+     "error: argument --node: '--' is not an integer in canonical ASCII form\n"),
+    (("inversions", "--type", "A5~2", "--node", "1", "--method=--"),
+     "error: argument --method: invalid choice: '--' (choose from 'word', 'closed', 'both')\n"),
+    (("verify-all", "--degree=--"),
+     "error: argument --degree: '--' is not an integer in canonical ASCII form\n"),
+    (("cartan", "--type=--"), "error: expected a family letter A..G (at position 0)\n"),
+])
+def test_value_written_as_double_dash_is_text(capsys, argv, err):
+    # argparse read `--opt=--` as an empty list, which crashed int options and
+    # passed choice options unchecked; the table reads the text '--'
+    assert run(capsys, *argv) == (2, "", err)
