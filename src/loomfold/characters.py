@@ -30,9 +30,9 @@ by one shift per distinct high part.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .cartan import AffineData, Vec
+from .cartan import MAX_DEGREE, AffineData, Vec, VerificationFailure
 from .folding import OrbitMap, bar_inversion_parts
 
 
@@ -56,14 +56,8 @@ class NotPositiveRoot(ValueError):
     """A product factor (1 - e^{-beta})^{-e} with beta of height < 1 or a negative coordinate."""
 
 
-class MultiplicityMismatch(ValueError):
+class MultiplicityMismatch(VerificationFailure):
     """A product-formula exponent differs from its delta-shift multiplicity."""
-
-
-# the series work grows polynomially in the degree, with the rank in the
-# exponent; at 24, on a 2-vCPU Xeon VM, verify-all takes about 2.5-2.8 s and
-# 36 MB, and the largest char query measured (A64~1 node 32) 1.7-1.9 s and 170 MB
-MAX_DEGREE = 24
 
 
 def _check_degree(degree: int) -> None:
@@ -90,8 +84,7 @@ def _digit_columns(keys, base: int, size: int) -> list[list[int]]:
     return cols
 
 
-@dataclass(frozen=True)
-class CharSeries:
+class CharSeries(NamedTuple):
     rank: int                 # finite rank n; exponent tuples have length n+1, slot 0 = 0
     degree: int               # total-height truncation bound
     buckets: tuple[dict[int, int], ...]   # height 0..degree -> {packed monomial: coefficient}
@@ -255,8 +248,7 @@ def fold_series(series: CharSeries, om: OrbitMap, degree: int) -> CharSeries:
     return CharSeries(rank=om.twisted.n, degree=degree, buckets=tuple(out))
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(NamedTuple):
     equal: bool
     witness: tuple | None     # (monomial, coeff_a, coeff_b) at minimal height
 

@@ -1,5 +1,8 @@
 """Command-line interface: every computation, and verify-all over `loomfold.verify`.
 
+Importing it loads `cartan` only; each command imports the layers it calls
+when it runs, so a query loads no layer it does not call.
+
 Type strings use `~` for the twist superscript (A5~2 means the second
 twist of A_5) to stay shell-safe.  All subcommands are pure functions of
 their arguments; JSON output has sorted keys and no timestamps.  Exit
@@ -17,11 +20,13 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import cartan, characters, folding, pbw, qsymbolic, verify, weyl
-from .cartan import AffineData, InvalidType
-from .characters import MAX_DEGREE
+from . import cartan
+from .cartan import MAX_DEGREE, AffineData, InvalidType, VerificationFailure
+
+if TYPE_CHECKING:
+    from .characters import CharSeries
 
 
 class ParseError(ValueError):
@@ -49,8 +54,8 @@ class _BadInteger(ValueError):
 # affine_type builds an N-long diagram and the Cartan build is O(N^2) on a
 # Dynkin diagram (Bareiss elimination with deferred rescaling), so the CLI
 # caps N before calling either; at the cap, on a 2-vCPU Xeon VM, `cartan
-# --type D64~1` takes about 0.08 s, mostly interpreter start, and building
-# every type with n <= 64 about 0.33-0.47 s
+# --type D64~1` takes about 0.07-0.10 s, mostly interpreter start, and
+# building every type with n <= 64 about 0.33-0.47 s
 MAX_RANK = 64
 
 
@@ -166,9 +171,10 @@ def _monomial_key(m) -> str:
     return ",".join(map(str, m[1:]))
 
 
-def _series_labels(ser: characters.CharSeries) -> dict[str, int]:
+def _series_labels(ser: CharSeries) -> dict[str, int]:
     """{_monomial_key(m): c} over ser's terms, unordered, from one decode of the
     digit columns of every bucket's keys, in bucket order."""
+    from . import characters
     base = ser.degree + 1
     digits = [str(x) for x in range(base)]  # every coordinate is at most the degree
     cols = characters._digit_columns([*chain.from_iterable(ser.buckets)], base, ser.rank + 1)
@@ -189,6 +195,7 @@ def cmd_cartan(args) -> int:
 
 
 def cmd_inversions(args) -> int:
+    from . import verify
     d = _data(args)
     s = d.check_node(args.node)
     out: dict = {"type": str(d.type), "node": s, "method": args.method}
@@ -210,6 +217,7 @@ def cmd_inversions(args) -> int:
 
 
 def cmd_fold_verify(args) -> int:
+    from . import folding
     d = _data(args)
     if d.type.r == 1:
         raise UnknownType(f"{d.type} is untwisted; fold-verify needs a twisted type")
@@ -232,6 +240,7 @@ def cmd_fold_verify(args) -> int:
 
 
 def cmd_char(args) -> int:
+    from . import characters
     d = _data(args)
     s, degree = d.check_node(args.node), _degree(args.degree)
     if args.fold_check and d.type.r == 1:
@@ -244,6 +253,7 @@ def cmd_char(args) -> int:
     }
     code = 0
     if args.fold_check:
+        from . import verify
         rep = verify.series_check(d, s, degree, ser)
         out["fold_check"] = {"equal": rep.equal,
                              "witness": None if rep.witness is None else
@@ -255,6 +265,7 @@ def cmd_char(args) -> int:
 
 
 def cmd_pbw_graph(args) -> int:
+    from . import pbw
     d = _data(args)
     case = pbw.minuscule_case(d, d.check_node(args.node))
     g = pbw.eprime_graph(case)
@@ -283,6 +294,7 @@ def _eta_family(at: cartan.AffineType) -> str:
 
 
 def cmd_eta(args) -> int:
+    from . import qsymbolic
     at = parse_type(args.type)
     case = qsymbolic.eta_case(_eta_family(at), at.n, o=args.o)
     _dump({
@@ -301,6 +313,7 @@ def cmd_eta(args) -> int:
 def _serre_report() -> tuple[str, int]:
     """serre-check's output and exit code; it takes no arguments, so they are
     computed once per process."""
+    from . import qsymbolic, verify
     out: dict = {"cases": {}}
     code = 0
     for name, kwargs in verify._SERRE_CASES:
@@ -321,6 +334,7 @@ def cmd_serre_check(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from . import verify
     failures = 0
     total = 0
     for suite, label, ok, detail in verify.cells(_degree(args.degree), args.inject_fault):
@@ -521,7 +535,7 @@ def main(argv=None) -> int:
             return 141  # 128 + SIGPIPE, as a shell reports a stage that SIGPIPE ended; quiet
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 74  # EX_IOERR
-    except (folding.IdentityViolation, qsymbolic.NonzeroCoefficient, weyl.NotReduced) as exc:
+    except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -13,14 +13,13 @@ characters read too.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .cartan import AffineData, Vec
+from .cartan import AffineData, Vec, VerificationFailure
 from .lattice import _closure
 from .weyl import _finite_parts, _scale
 
@@ -33,7 +32,7 @@ class BadAutomorphism(ValueError):
     """The diagram automorphism of a twisted type breaks the parent GCM or its orbit count."""
 
 
-class FamilyMismatch(ValueError):
+class FamilyMismatch(VerificationFailure):
     """One finite part of an inversion set arises from both A_{2n}^(2) root families."""
 
 
@@ -41,7 +40,7 @@ class NotInInversionSet(ValueError):
     """A parent node outside the orbit behind the twisted node s."""
 
 
-class IdentityViolation(ValueError):
+class IdentityViolation(VerificationFailure):
     """The folding exponent identity failed at some root (implementation bug)."""
 
     def __init__(self, msg, beta=None):
@@ -49,8 +48,7 @@ class IdentityViolation(ValueError):
         self.beta = beta
 
 
-@dataclass(frozen=True)
-class OrbitMap:
+class OrbitMap(NamedTuple):
     """sigma on the parent index set {1..N} plus the orbit/node dictionary."""
 
     twisted: AffineData

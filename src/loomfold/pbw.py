@@ -12,9 +12,9 @@ map onto it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .cartan import AffineData, Vec
+from .cartan import AffineData, Vec, VerificationFailure
 from .weyl import alcove_factorize, inversion_set_from_word, translation_minus_lambda
 
 
@@ -22,7 +22,7 @@ class NotMinuscule(ValueError):
     """(type, s) is not one of the minuscule-node table rows."""
 
 
-class BadMinusculeWord(ValueError):
+class BadMinusculeWord(VerificationFailure):
     """The beta_k of a minuscule node leave the finite roots or do not end at theta."""
 
 
@@ -47,8 +47,7 @@ def minuscule_nodes(data: AffineData) -> tuple[int, ...]:
     return ()
 
 
-@dataclass(frozen=True)
-class MinusculeCase:
+class MinusculeCase(NamedTuple):
     data: AffineData
     s: int
     word: tuple[int, ...]
@@ -72,14 +71,13 @@ def minuscule_case(data: AffineData, s: int) -> MinusculeCase:
                          betas=tuple(betas), theta_index=len(betas))
 
 
-@dataclass
-class EprimeGraph:
+class EprimeGraph(NamedTuple):
     """Labeled digraph on {1} u {beta_k}; node 0 stands for the unit 1."""
 
     case: MinusculeCase
-    edges: list = field(default_factory=list)       # (k, i, j): beta_k -e'_i-> beta_j; j = 0 is the unit
-    pairing_misses: list = field(default_factory=list)   # (k, i): pairing holds, target not single
-    composite_targets: list = field(default_factory=list)  # (j, i, a): F(beta_a) F(beta_j) -e'_i-> beta_j
+    edges: list              # (k, i, j): beta_k -e'_i-> beta_j; j = 0 is the unit
+    pairing_misses: list     # (k, i): pairing holds, target not single
+    composite_targets: list  # (j, i, a): F(beta_a) F(beta_j) -e'_i-> beta_j
 
 
 def _simple_pairing(data: AffineData, i: int, v: Vec) -> int:
@@ -87,45 +85,45 @@ def _simple_pairing(data: AffineData, i: int, v: Vec) -> int:
     return data.sym[i] * sum(a * x for a, x in zip(data.gcm[i], v))
 
 
-def _eprime_hit(case: MinusculeCase, i: int, v: Vec) -> bool:
-    """The pairing condition of the e'_i edge rule: (alpha_i, v) = d_i + delta_{i,s}."""
-    return _simple_pairing(case.data, i, v) == case.data.sym[i] + (i == case.s)
+def _eprime_hit(data: AffineData, s: int, i: int, v: Vec) -> bool:
+    """The pairing condition of the e'_i edge rule at node s: (alpha_i, v) = d_i + delta_{i,s}."""
+    return _simple_pairing(data, i, v) == data.sym[i] + (i == s)
 
 
 def eprime_graph(case: MinusculeCase) -> EprimeGraph:
-    m = case.data.rank
+    data, s = case.data, case.s
+    m = data.rank
     index = {b: k for k, b in enumerate(case.betas, start=1)}
     zero = tuple([0] * m)
-    g = EprimeGraph(case=case)
+    edges, pairing_misses, composite_targets = [], [], []
     for k, beta in enumerate(case.betas, start=1):
         for i in range(1, m):
-            if not _eprime_hit(case, i, beta):
+            if not _eprime_hit(data, s, i, beta):
                 continue
             target = tuple(beta[t] - (1 if t == i else 0) for t in range(m))
             if target == zero:
-                g.edges.append((k, i, 0))
+                edges.append((k, i, 0))
             elif target in index:
-                g.edges.append((k, i, index[target]))
+                edges.append((k, i, index[target]))
             else:
-                g.pairing_misses.append((k, i))
+                pairing_misses.append((k, i))
     # single-vector preimage completion: a beta_j hit by no edge may still be
     # the image of the product F(alpha_i) F(beta_j), which the derivation rule
     # sends to beta_j exactly when e'_i kills beta_j and e'_i F(alpha_i) = 1
-    has_in = {j for (_, _, j) in g.edges}
+    has_in = {j for (_, _, j) in edges}
     # the (i, a) with beta_a = alpha_i and e'_i F(alpha_i) = 1: the edges into the unit
-    units = sorted((i, a) for a, i, j in g.edges if j == 0)
+    units = sorted((i, a) for a, i, j in edges if j == 0)
     for j, beta in enumerate(case.betas, start=1):
         if j in has_in:
             continue
         for i, a in units:
             # when e'_i does not kill beta_j, the product image is not a single vector
-            if not _eprime_hit(case, i, beta):
-                g.composite_targets.append((j, i, a))
-    return g
+            if not _eprime_hit(data, s, i, beta):
+                composite_targets.append((j, i, a))
+    return EprimeGraph(case, edges, pairing_misses, composite_targets)
 
 
-@dataclass(frozen=True)
-class X0Data:
+class X0Data(NamedTuple):
     j0: tuple[int, ...]
     j1: tuple[int, ...]
     exponents: dict     # i in J1 -> -d_0 (2 + a_{0i})

@@ -10,10 +10,12 @@ throughout; a is never specialized to a number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .cartan import VerificationFailure
 
 
-class NonzeroCoefficient(ValueError):
+class NonzeroCoefficient(VerificationFailure):
     """A coefficient combination that must vanish identically did not."""
 
 
@@ -159,8 +161,7 @@ def qbinom(n: int, k: int, d: int = 1) -> LaurentPoly:
     return row[k]
 
 
-@dataclass(frozen=True)
-class EllWeight:
+class EllWeight(NamedTuple):
     """Psi(z) = omega * num(z)/den(z) with degree <= 1 numerator and denominator.
 
     Coefficients live in z^d-steps, d as in psi_from_bc; omega stays a formal tag.
@@ -222,8 +223,7 @@ def psi_series_direct(b: LaurentPoly, c: LaurentPoly, o: int, d: int,
     return out
 
 
-@dataclass(frozen=True)
-class EtaCase:
+class EtaCase(NamedTuple):
     family: str          # "A2n-1~2" or "Dn+1~2"
     n: int
     o: int

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, mul, neg
+from typing import NamedTuple
 
-from .cartan import AffineData, DimensionMismatch, Matrix, Vec, _bonds
+from .cartan import AffineData, DimensionMismatch, Matrix, Vec, VerificationFailure, _bonds
 from .lattice import _closure, is_negative
 
 
@@ -26,7 +26,7 @@ class NotLengthZeroResidue(ValueError):
     """Not an extended-Weyl element: wrong inverse, delta moved, or residue not a permutation."""
 
 
-class NotReduced(ValueError):
+class NotReduced(VerificationFailure):
     """A word whose beta_k sequence leaves the positive roots or repeats."""
 
 
@@ -35,15 +35,21 @@ def _shape(mat: Matrix) -> str:
     return f"{len(mat)}x{'|'.join(map(str, widths))}"
 
 
-@dataclass(frozen=True)
-class ExtWeylElt:
-    """Exact matrix action on affine root-lattice coordinates; matrix . inverse = I."""
-
+class _MatrixPair(NamedTuple):
     matrix: Matrix
     inverse: Matrix
 
-    def __post_init__(self):
-        a, b = self.matrix, self.inverse
+
+class ExtWeylElt(_MatrixPair):
+    """Exact matrix action on affine root-lattice coordinates; matrix . inverse = I.
+
+    Every way to make one, `_replace` and `_make` included, runs the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, matrix: Matrix, inverse: Matrix):
+        a, b = matrix, inverse
         m = len(a)
         if len(b) != m or any(len(row) != m for row in a) or any(len(row) != m for row in b):
             raise DimensionMismatch(f"matrix of shape {_shape(a)} and inverse of shape {_shape(b)}: "
@@ -60,6 +66,11 @@ class ExtWeylElt:
                     acc[j] += x * bk[j]
             if acc[i] != 1 or acc.count(0) != m - 1:
                 raise NotLengthZeroResidue("inverse is not the integer inverse of the matrix")
+        return tuple.__new__(cls, (matrix, inverse))
+
+    @classmethod
+    def _make(cls, iterable) -> ExtWeylElt:
+        return cls(*iterable)
 
     def apply(self, v: Vec) -> Vec:
         """The image of v; DimensionMismatch unless len(v) is the matrix size."""

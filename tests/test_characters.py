@@ -1,6 +1,5 @@
 """Character products, the series-level folding theorem, and series plumbing."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -367,7 +366,7 @@ def test_cached_results_are_immutable():
     # later caller, so a caller that could change one would corrupt the rest
     d = build("D", 3, 2)
     before = char_exponents(d, 1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         build_affine(d.type).sym = (0,) * d.rank
     with pytest.raises(TypeError):
         finite_positive_roots(d)[0] = (0, 0, 0)

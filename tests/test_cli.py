@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loomfold
-from loomfold import cartan, characters, cli, qsymbolic, weyl
+from loomfold import cartan, characters, cli, folding, pbw, qsymbolic, weyl
 from loomfold.cartan import all_affine_types
 from loomfold.cli import MAX_DEGREE, MAX_RANK, OutOfRange, ParseError, UnknownType, main, parse_type
 
@@ -337,6 +337,51 @@ def test_element_of_another_rank_is_a_usage_error(capsys, monkeypatch):
     assert err == "error: element of size 3 for A3~1 of rank 4\n"
 
 
+def _delta_shifted(real):
+    """inversion_set_from_word whose first beta gains a delta component."""
+    def fake(d, word):
+        betas = real(d, word)
+        return [(betas[0][0] + 1, *betas[0][1:]), *betas[1:]]
+    return fake
+
+
+def _off_by_one(real):
+    """bar_inversion_parts with every multiplicity one too high."""
+    def fake(d, s):
+        return {beta: (mult + 1, xi) for beta, (mult, xi) in real(d, s).items()}
+    return fake
+
+
+def _doubled(real):
+    """_finite_parts with every finite part listed twice, as if from two families."""
+    def fake(d, s):
+        return [row for row in real(d, s) for _ in range(2)]
+    return fake
+
+
+@pytest.mark.parametrize("module, name, fake, argv, call, error", [
+    (pbw, "inversion_set_from_word", _delta_shifted,
+     ["pbw-graph", "--type", "A5~2", "--node", "1"],
+     lambda: pbw.minuscule_case(cartan.build("A", 5, 2), 1), pbw.BadMinusculeWord),
+    (characters, "bar_inversion_parts", _off_by_one,
+     ["char", "--type", "A5~2", "--node", "1", "--degree", "4"],
+     lambda: characters.char_product(cartan.build("A", 5, 2), 1, 4),
+     characters.MultiplicityMismatch),
+    (folding, "_finite_parts", _doubled,
+     ["fold-verify", "--type", "A4~2", "--node", "1"],
+     lambda: folding.verify_fold_identity(cartan.build("A", 4, 2), 1), folding.FamilyMismatch),
+])
+def test_failed_check_of_the_math_exits_one(capsys, monkeypatch, module, name, fake, argv, call,
+                                            error):
+    # the type and node are valid, so the failure is a bug, not a rejected input
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    code, out, err = run(capsys, *argv)
+    with pytest.raises(error) as info:
+        call()
+    assert (code, out) == (1, "")
+    assert err == f"verification failure: {info.value}\n"
+
+
 def test_repeated_main_calls_are_independent(capsys):
     code, out, err = run(capsys, "cartan")
     assert (code, out) == (2, "") and err.startswith("error:")
@@ -388,6 +433,70 @@ def test_cli_runs_without_argparse():
     assert json.loads(proc.stdout)["kac"] == [1, 1, 2, 1]
 
 
+# stdlib modules that importing the CLI must not pay for (dataclasses brings in
+# inspect, fractions brings in decimal)
+_HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def test_cli_import_loads_cartan_only():
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import loomfold.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'loomfold'))\n"
+              f"print(sorted((set(sys.modules) - before) & {set(_HEAVY)!r}))\n")
+    proc = _child(["-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['loomfold', 'loomfold.cartan', 'loomfold.cli']", "[]"]
+
+
+_ALL_LAYERS = {"characters", "folding", "lattice", "pbw", "qsymbolic", "verify", "weyl"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["cartan", "--type", "A5~2"], set()),
+    (["eta", "--type", "A5~2"], {"qsymbolic"}),
+    (["fold-verify", "--type", "A5~2", "--all"], {"folding", "lattice", "weyl"}),
+    (["pbw-graph", "--type", "A5~2", "--node", "1"], {"lattice", "pbw", "weyl"}),
+    (["char", "--type", "A5~2", "--node", "1", "--degree", "4"],
+     {"characters", "folding", "lattice", "weyl"}),
+    (["char", "--type", "A5~2", "--node", "1", "--degree", "4", "--fold-check"], _ALL_LAYERS),
+])
+def test_command_loads_only_its_layers(argv, layers):
+    script = ("import contextlib, io, sys\n"
+              "import loomfold.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = loomfold.cli.main({argv!r})\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'loomfold'))\n")
+    proc = _child(["-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    expect = sorted({"loomfold", "loomfold.cartan", "loomfold.cli"}
+                    | {f"loomfold.{layer}" for layer in layers})
+    assert proc.stdout == f"0 {expect}\n"
+
+
+def test_library_calls_import_nothing_once_the_layers_are_in():
+    # one oracle cell, one fold cell and one series cell, made by the calls
+    # that a caller holding cartan, characters, folding, pbw and weyl makes
+    script = ("import sys\n"
+              "from loomfold import cartan, characters, cli, folding, pbw, weyl\n"
+              "before = set(sys.modules)\n"
+              "d = cartan.build_affine(cli.parse_type('A5~2'))\n"
+              "word, tau = weyl.alcove_factorize(d, weyl.translation_minus_lambda(d, 2))\n"
+              "weyl.inversion_set_from_word(d, word)\n"
+              "weyl.inversion_set_closed_form(d, 2)\n"
+              "folding.verify_fold_identity(d, 2)\n"
+              "om = folding.sigma_for(d)\n"
+              "parent = characters.product_from_exponents(\n"
+              "    folding.parent_char_exponents(om, 2), om.parent_rank, 6)\n"
+              "rep = characters.series_equal(characters.fold_series(parent, om, 6),\n"
+              "                              characters.char_product(d, 2, 6), 6)\n"
+              "print(rep.equal, sorted(set(sys.modules) - before))\n")
+    proc = _child(["-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True []\n"
+
+
 def test_verify_all_degree_zero(capsys):
     code, out, _ = run(capsys, "verify-all", "--degree", "0")
     assert code == 0
@@ -433,12 +542,12 @@ def test_out_of_range_node_or_degree(capsys, argv):
 def test_eta_check_survives_optimize():
     # under python -O a bare assert would let a failed eta cancellation pass
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "if __debug__: sys.exit(3)\n"
         "from loomfold import cli, qsymbolic\n"
         "real = qsymbolic.eta_case\n"
-        "qsymbolic.eta_case = lambda *a, **k: dataclasses.replace("
-        "real(*a, **k), cancellation_ok=False)\n"
+        "qsymbolic.eta_case = lambda *a, **k: "
+        "real(*a, **k)._replace(cancellation_ok=False)\n"
         "sys.exit(cli.main(['verify-all', '--degree', '0']))\n"
     )
     src = os.path.dirname(os.path.dirname(loomfold.__file__))

@@ -1,6 +1,5 @@
 """Diagram automorphisms, fold fibers, xi values, and the exponent identity."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -128,7 +127,7 @@ def test_batch_fold_matches_per_root_sums():
 def test_orbit_map_hashes_by_twisted_type():
     for at in twisted_types(12):
         om = sigma_for(build_affine(at))
-        copy = dataclasses.replace(om)
+        copy = om._replace()
         assert hash(om) == hash(at) == hash(copy)
         assert copy == om and copy is not om
         assert folding._fibers(copy) is folding._fibers(om), at

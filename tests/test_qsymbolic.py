@@ -1,6 +1,5 @@
 """q-integers, eta cancellations, l-weights, and the Serre coefficient checks."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -201,7 +200,7 @@ def test_qsymbolic_cell_names_a_psi_that_is_no_pole(monkeypatch, doubled, where)
 def test_qsymbolic_cell_names_a_pole_away_from_a_eta(monkeypatch):
     def case(family, n, o=1):
         ec = eta_case(family, n, o)
-        return replace(ec, eta=2 * ec.eta) if (family, n, o) == ("Dn+1~2", 7, -1) else ec
+        return ec._replace(eta=2 * ec.eta) if (family, n, o) == ("Dn+1~2", 7, -1) else ec
     detail = _failing_cell(monkeypatch, "eta_case", case)
     assert detail == "the pole of Psi(z) is not at z = 1/(a*eta) for Dn+1~2 n=7 o=-1"
 

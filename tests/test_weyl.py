@@ -1,6 +1,5 @@
 """Translations, alcove factorization, and the two inversion-set routes."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -361,6 +360,29 @@ def test_element_rejects_mismatched_shapes(matrix, inverse, shapes):
         ExtWeylElt(matrix, inverse)
 
 
+def test_element_check_runs_on_every_constructor():
+    # a record copy (_replace, _make) is checked as a fresh element is, and no
+    # field of a made element can be set
+    eye = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    double = tuple(tuple(2 * x for x in row) for row in eye)
+    elt = ExtWeylElt(eye, eye)
+    assert elt._replace() == elt and ExtWeylElt._make([eye, eye]) == elt
+    for make in (lambda: ExtWeylElt(matrix=double, inverse=eye),
+                 lambda: elt._replace(matrix=double),
+                 lambda: ExtWeylElt._make((eye, double))):
+        with pytest.raises(NotLengthZeroResidue, match="not the integer inverse"):
+            make()
+    for make in (lambda: ExtWeylElt(matrix=eye, inverse=((1,),)),
+                 lambda: elt._replace(inverse=((1, 0), (0, 1))),
+                 lambda: ExtWeylElt._make((((1,),), eye))):
+        with pytest.raises(DimensionMismatch, match="both must be square of one size"):
+            make()
+    with pytest.raises(AttributeError):
+        elt.matrix = double
+    with pytest.raises(AttributeError):
+        elt.scale = 2
+
+
 @pytest.mark.parametrize("length", [2, 4])
 def test_apply_rejects_wrong_length(length):
     # map(mul, row, v) stops at the shorter side, so a wrong length would pass silently
@@ -467,12 +489,12 @@ def test_packed_codec_width_bound(monkeypatch):
 def test_affine_data_hashes_by_type():
     for at in all_affine_types(12):
         d = build_affine(at)
-        copy = dataclasses.replace(d)
+        copy = d._replace()
         assert hash(d) == hash(at) == hash(copy)
         assert copy == d and copy is not d
         assert weyl._root_steps(copy) is weyl._root_steps(d), at
     d = build("A", 5, 2)
-    assert dataclasses.replace(d, theta=d.delta) != d  # equality stays field by field
+    assert d._replace(theta=d.delta) != d  # equality stays field by field
 
 
 NODE_CALLS = {
