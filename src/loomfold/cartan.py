@@ -38,7 +38,7 @@ class VerificationFailure(ValueError):
 # the height cap of a character series, read by characters and by the CLI's
 # --degree; the series work grows polynomially in the degree, with the rank in
 # the exponent; at 24, on a 2-vCPU Xeon VM, verify-all takes about 2.5-2.8 s and
-# 36 MB, and the largest char query measured (A64~1 node 32) 1.7-1.9 s and 170 MB
+# 36 MB, and the largest char query measured (A64~1 node 32) 1.7-2.3 s and 77 MB
 MAX_DEGREE = 24
 
 

@@ -17,7 +17,7 @@ import functools
 import os
 import re
 import sys
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -120,7 +120,7 @@ def _json(obj) -> str:
     dicts, lists, str, int, bool and None; any other type raises TypeError.
 
     json's `indent` runs its pure-Python encoder; this writes each all-int
-    list, the bulk of most outputs, with one join.
+    list, the bulk of most outputs, with one %-format.
     """
     out: list[str] = []
     _emit(obj, "\n", out)
@@ -151,7 +151,7 @@ def _emit(obj, pad: str, out: list[str]) -> None:
                 sep = "," + inner
             out.append(pad + "}")
         elif {*map(type, obj)} == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]")
+            out.append(_ints(obj, pad))
         else:
             sep = "[" + inner
             for value in obj:
@@ -163,6 +163,19 @@ def _emit(obj, pad: str, out: list[str]) -> None:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
+def _ints(values, pad: str) -> str:
+    """A non-empty sequence of ints as JSON, as `_emit` writes it at pad."""
+    return _int_list_format(len(values), pad) % tuple(values)
+
+
+@functools.cache
+def _int_list_format(length: int, pad: str) -> str:
+    """The %-format of a JSON list of `length` ints at pad; one format call
+    writes the list in a third of the time of a join over the ints' reprs."""
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(["%d"] * length) + pad + "]"
+
+
 def _dump(obj) -> None:
     print(_json(obj))
 
@@ -171,15 +184,25 @@ def _monomial_key(m) -> str:
     return ",".join(map(str, m[1:]))
 
 
-def _series_labels(ser: CharSeries) -> dict[str, int]:
-    """{_monomial_key(m): c} over ser's terms, unordered, from one decode of the
-    digit columns of every bucket's keys, in bucket order."""
+# keys decoded per `_digit_columns` call, and `char` lines per write, so that
+# the lists and strings built at a time stay small
+_SLICE = 8192
+
+
+def _series_lines(ser: CharSeries) -> list[str]:
+    """The `    "label": c` line of `char`'s JSON for each term of ser, label
+    `_monomial_key(m)`, sorted.  '"' sorts below every digit and ',', so the
+    lines sort as their labels do, as json's sort_keys orders them."""
     from . import characters
-    base = ser.degree + 1
-    digits = [str(x) for x in range(base)]  # every coordinate is at most the degree
-    cols = characters._digit_columns([*chain.from_iterable(ser.buckets)], base, ser.rank + 1)
-    labels = map(",".join, zip(*[map(digits.__getitem__, col) for col in cols[1:]]))
-    return dict(zip(labels, chain.from_iterable(map(dict.values, ser.buckets))))
+    line = '    "' + ",".join(["%d"] * ser.rank) + '": %d'
+    keys = chain.from_iterable(ser.buckets)
+    coeffs = chain.from_iterable(map(dict.values, ser.buckets))
+    lines: list[str] = []
+    while chunk := [*islice(keys, _SLICE)]:
+        cols = characters._digit_columns(chunk, ser.degree + 1, ser.rank + 1)
+        lines += map(line.__mod__, zip(*cols[1:], coeffs))
+    lines.sort()
+    return lines
 
 
 def cmd_cartan(args) -> int:
@@ -217,50 +240,85 @@ def cmd_inversions(args) -> int:
 
 
 def cmd_fold_verify(args) -> int:
+    """Writes each node's cell as soon as its identity is checked; the JSON is
+    `_json`'s, byte for byte, with no document built."""
     from . import folding
     d = _data(args)
     if d.type.r == 1:
         raise UnknownType(f"{d.type} is untwisted; fold-verify needs a twisted type")
     node = None if args.node is None else d.check_node(args.node)
     nodes = range(1, d.n + 1) if args.all or node is None else [node]
-    cells = []
+    write = sys.stdout.write
+    pairs: dict = {}  # (beta, fiber) -> its text; the pairs recur across nodes
+    sep = '{\n  "cells": [\n    '
     code = 0
     for s in nodes:
+        out = [sep]
         try:
             report = folding.verify_fold_identity(d, s)
-            cells.append({"node": s, "ok": True, "entries": [
-                {"beta": list(e.beta), "fiber": [list(b) for b in e.fiber],
-                 "lhs": e.lhs, "rhs": str(e.rhs), "xi": str(e.xi)}
-                for e in report]})
         except folding.IdentityViolation as exc:
-            cells.append({"node": s, "ok": False, "violation": str(exc)})
+            _emit({"node": s, "ok": False, "violation": str(exc)}, "\n    ", out)
             code = 1
-    _dump({"type": str(d.type), "cells": cells, "ok": code == 0})
+        else:
+            _fold_cell(s, report, pairs, out)
+        write("".join(out))
+        sep = ",\n    "
+    write('\n  ],\n  "ok": %s,\n  "type": %s\n}\n'
+          % ("false" if code else "true", encode_basestring_ascii(str(d.type))))
     return code
 
 
+# the newline and indent of a fold entry's keys, and of the items of its lists
+_P10, _P12 = "\n" + " " * 10, "\n" + " " * 12
+_TAIL = "%d," + _P10 + '"rhs": "%s",' + _P10 + '"xi": "%s"\n        }'
+
+
+def _fold_cell(s: int, report, pairs: dict, out: list[str]) -> None:
+    """Append the JSON of node s's passing cell, at indent 4, from its FoldEntry
+    list, which holds alpha_s and so is never empty; pairs caches the text of
+    each (beta, fiber), up to the lhs value."""
+    out.append('{\n      "entries": [')
+    sep = "\n        "
+    for beta, fiber, lhs, rhs, xi in report:
+        pair = pairs.get((beta, fiber))
+        if pair is None:
+            pair = pairs[beta, fiber] = (
+                "{" + _P10 + '"beta": ' + _ints(beta, _P10) + "," + _P10 + '"fiber": ['
+                + _P12 + ("," + _P12).join([_ints(b, _P12) for b in fiber])
+                + _P10 + "]," + _P10 + '"lhs": ')
+        out += sep, pair, _TAIL % (lhs, rhs, xi)
+        sep = ",\n        "
+    out.append('\n      ],\n      "node": %d,\n      "ok": true\n    }' % s)
+
+
 def cmd_char(args) -> int:
+    """Writes the series lines sorted, in chunks; the JSON is `_json`'s, byte
+    for byte, with no document built."""
     from . import characters
     d = _data(args)
     s, degree = d.check_node(args.node), _degree(args.degree)
     if args.fold_check and d.type.r == 1:
         raise UnknownType(f"{d.type} is untwisted; --fold-check needs a twisted type")
     ser = characters.char_product(d, s, degree)
-    out: dict = {
-        "type": str(d.type), "node": s, "degree": degree,
-        # unsorted: _json sorts the keys
-        "series": _series_labels(ser),
-    }
     code = 0
-    if args.fold_check:
+    out = ['{\n  "degree": %d,\n' % degree]
+    if args.fold_check:  # "fold_check" sorts before "node" and "series"
         from . import verify
         rep = verify.series_check(d, s, degree, ser)
-        out["fold_check"] = {"equal": rep.equal,
-                             "witness": None if rep.witness is None else
-                             {"monomial": _monomial_key(rep.witness[0]),
-                              "folded": rep.witness[1], "twisted": rep.witness[2]}}
+        out.append('  "fold_check": ')
+        _emit({"equal": rep.equal,
+               "witness": None if rep.witness is None else
+               {"monomial": _monomial_key(rep.witness[0]),
+                "folded": rep.witness[1], "twisted": rep.witness[2]}}, "\n  ", out)
+        out.append(",\n")
         code = 0 if rep.equal else 1
-    _dump(out)
+    lines = _series_lines(ser)  # never empty: the constant term is 1
+    out.append('  "node": %d,\n  "series": {\n' % s)
+    write = sys.stdout.write
+    write("".join(out))
+    for i in range(0, len(lines), _SLICE):
+        write((",\n" if i else "") + ",\n".join(lines[i:i + _SLICE]))
+    write('\n  },\n  "type": %s\n}\n' % encode_basestring_ascii(str(d.type)))
     return code
 
 

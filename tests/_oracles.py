@@ -8,7 +8,7 @@ fast path it checks.
 import argparse
 import functools
 
-from loomfold import lattice
+from loomfold import cartan, characters, cli, folding, lattice, verify
 from loomfold.cartan import AffineData, IndexOutOfRange, Matrix, Vec, bilinear
 from loomfold.characters import CharSeries, _check_degree
 from loomfold.cli import MAX_RANK, UsageError
@@ -78,6 +78,55 @@ def series_from_terms(rank: int, degree: int, terms) -> CharSeries:
 def fold_root(om: OrbitMap, beta: Vec) -> Vec:
     """Pi: alpha_i -> alpha_{bar i}, summed linearly over parent coordinates."""
     return (0,) + tuple(sum(beta[i] for i in orb) for orb in om.orbits)
+
+
+# The documents that `fold-verify` and `char` wrote through `cli._json` before
+# they streamed their output: stdout must be json.dumps(doc, sort_keys=True,
+# indent=2) and a newline.  Layer calls go through their modules, so that a
+# test that replaces one there changes the reference too.
+
+def fold_verify_doc(data: AffineData, nodes) -> dict:
+    """The fold-verify document over the given nodes of a twisted type."""
+    cells = []
+    for s in nodes:
+        try:
+            report = folding.verify_fold_identity(data, s)
+            cells.append({"node": s, "ok": True, "entries": [
+                {"beta": list(e.beta), "fiber": [list(b) for b in e.fiber],
+                 "lhs": e.lhs, "rhs": str(e.rhs), "xi": str(e.xi)}
+                for e in report]})
+        except folding.IdentityViolation as exc:
+            cells.append({"node": s, "ok": False, "violation": str(exc)})
+    return {"type": str(data.type), "cells": cells, "ok": all(c["ok"] for c in cells)}
+
+
+def series_labels(ser: CharSeries) -> dict[str, int]:
+    """{"m_1,...,m_n": c} over the terms of ser, from the tuple view."""
+    return {",".join(map(str, m[1:])): c for m, c in ser.terms.items()}
+
+
+def char_doc(data: AffineData, s: int, degree: int, fold_check: bool) -> dict:
+    """The char document of node s at the given degree."""
+    ser = characters.char_product(data, s, degree)
+    doc = {"type": str(data.type), "node": s, "degree": degree, "series": series_labels(ser)}
+    if fold_check:
+        rep = verify.series_check(data, s, degree, ser)
+        doc["fold_check"] = {"equal": rep.equal, "witness": None if rep.witness is None else
+                             {"monomial": ",".join(map(str, rep.witness[0][1:])),
+                              "folded": rep.witness[1], "twisted": rep.witness[2]}}
+    return doc
+
+
+def streamed_doc(argv) -> tuple[dict, int]:
+    """The document and exit code of a valid fold-verify or char command line."""
+    args = cli._parse(list(argv))
+    data = cartan.build_affine(cli.parse_type(args.type))
+    if args.command == "fold-verify":
+        all_nodes = args.all or args.node is None
+        doc = fold_verify_doc(data, range(1, data.n + 1) if all_nodes else [args.node])
+        return doc, 0 if doc["ok"] else 1
+    doc = char_doc(data, args.node, args.degree, args.fold_check)
+    return doc, 0 if doc.get("fold_check", {"equal": True})["equal"] else 1
 
 
 # The argparse tree that `cli._parse` replaced, kept as the reference for its

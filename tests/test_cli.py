@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loomfold
-from loomfold import cartan, characters, cli, folding, pbw, qsymbolic, weyl
+from loomfold import cartan, characters, cli, folding, pbw, qsymbolic, verify, weyl
 from loomfold.cartan import all_affine_types
 from loomfold.cli import MAX_DEGREE, MAX_RANK, OutOfRange, ParseError, UnknownType, main, parse_type
 
@@ -136,6 +136,12 @@ def test_json_emitter_matches_json_dumps(capsys, monkeypatch, argv):
         code, out, _ = run(capsys, *argv)
     finally:
         cli._serre_report.cache_clear()
+    if argv[0] in ("fold-verify", "char"):
+        # streamed from the records, past _json, as the reference document dumps
+        doc, expect_code = _oracles.streamed_doc(argv)
+        assert (code, expect_code, written) == (0, 0, [])
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return
     assert code == 0 and len(written) == 1
     assert out == real(written[0]) + "\n" == json.dumps(written[0], sort_keys=True, indent=2) + "\n"
 
@@ -143,7 +149,7 @@ def test_json_emitter_matches_json_dumps(capsys, monkeypatch, argv):
 def test_json_emitter_on_edge_values():
     value = {"z": [], "a": {}, "b": [True, False, None, -3, 0, 10**30],
              "\u00e9\u2603\U0001d11e": ["t\u00e4b\tq\"", [[], [1, -2], {}], {"k": [None]}],
-             "n": [-1, -22], "m": [1, True], "": None}
+             "n": [-1, -22, 10**30], "m": [1, True], "": None}
     for obj in (value, [], {}, [[]], "x\u0000y", -7, None, True, [value, value]):
         assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
     for bad in ((1, 2), [1.5], {1: 2}, {"k": (1,)}):
@@ -214,13 +220,67 @@ def test_char(capsys):
 
 
 def test_series_labels_match_the_terms_view():
-    # the label route decodes digit columns; the terms view decodes tuples
+    # the line route decodes digit columns; the terms view decodes tuples
     for t, s, degree in (("A2~1", 1, 0), ("G2~1", 2, 1), ("E6~2", 3, 12), ("D4~3", 1, 24),
                          ("A12~2", 5, 12)):
         ser = characters.char_product(cartan.build_affine(parse_type(t)), s, degree)
         expect = {cli._monomial_key(m): c for m, c in ser.terms.items()}
-        assert cli._series_labels(ser) == expect, t
+        assert cli._series_lines(ser) == [f"    {json.dumps(label)}: {expect[label]}"
+                                          for label in sorted(expect)], t
         assert len(expect) == len(ser.terms)
+
+
+def _streamed_lines():
+    """fold-verify and char command lines whose stdout the reference documents pin."""
+    lines = [("fold-verify", "--type", str(at), "--all") for at in cartan.twisted_types(6)]
+    for t in ("E6~2", "A8~2", "D4~3"):
+        lines += [("fold-verify", "--type", t, "--node", str(s))
+                  for s in range(1, parse_type(t).n + 1)]
+    for t, degree in (("A2~2", 12), ("D3~2", 0), ("E6~2", 12), ("A6~2", 24)):
+        for s in range(1, parse_type(t).n + 1):
+            argv = ("char", "--type", t, "--node", str(s), "--degree", str(degree))
+            lines += [argv, argv + ("--fold-check",)]
+    return lines
+
+
+@pytest.mark.parametrize("argv", _streamed_lines(), ids=" ".join)
+def test_streamed_output_matches_the_reference_document(capsys, argv):
+    doc, expect_code = _oracles.streamed_doc(argv)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (expect_code, "")
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_fold_verify_violation_mid_stream(capsys, monkeypatch):
+    # the cells before the violation are already written when it is raised
+    real = folding.verify_fold_identity
+
+    def failing(d, s, **kwargs):
+        if s == 3:
+            raise folding.IdentityViolation(f"identity fails at {d.type} s={s}", beta=(0, 1))
+        return real(d, s, **kwargs)
+
+    monkeypatch.setattr(folding, "verify_fold_identity", failing)
+    argv = ("fold-verify", "--type", "A9~2", "--all")
+    doc, expect_code = _oracles.streamed_doc(argv)
+    code, out, err = run(capsys, *argv)
+    assert [c["ok"] for c in doc["cells"]] == [True, True, False, True, True]
+    assert (code, expect_code, doc["ok"], err) == (1, 1, False, "")
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_char_fold_check_failure(capsys, monkeypatch):
+    def failing(d, s, degree, twisted):
+        return characters.EqualityReport(equal=False, witness=((0, 1, 2), 3, 4))
+
+    monkeypatch.setattr(verify, "series_check", failing)
+    argv = ("char", "--type", "A4~2", "--node", "1", "--degree", "6", "--fold-check")
+    doc, expect_code = _oracles.streamed_doc(argv)
+    code, out, err = run(capsys, *argv)
+    assert doc["fold_check"] == {"equal": False,
+                                 "witness": {"monomial": "1,2", "folded": 3, "twisted": 4}}
+    assert (code, expect_code, err) == (1, 1, "")
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_fold_check_on_untwisted_type_does_no_series_work(capsys, monkeypatch):
@@ -460,7 +520,10 @@ _ALL_LAYERS = {"characters", "folding", "lattice", "pbw", "qsymbolic", "verify",
     (["pbw-graph", "--type", "A5~2", "--node", "1"], {"lattice", "pbw", "weyl"}),
     (["char", "--type", "A5~2", "--node", "1", "--degree", "4"],
      {"characters", "folding", "lattice", "weyl"}),
-    (["char", "--type", "A5~2", "--node", "1", "--degree", "4", "--fold-check"], _ALL_LAYERS),
+    (["char", "--type", "A5~2", "--node", "1", "--degree", "4", "--fold-check"],
+     {"characters", "folding", "lattice", "verify", "weyl"}),
+    (["inversions", "--type", "A5~2", "--node", "1"], {"lattice", "verify", "weyl"}),
+    (["verify-all", "--degree", "0"], _ALL_LAYERS),
 ])
 def test_command_loads_only_its_layers(argv, layers):
     script = ("import contextlib, io, sys\n"
@@ -561,12 +624,14 @@ def test_eta_check_survives_optimize():
 @pytest.mark.parametrize("argv", [
     ["char", "--type", "A5~2", "--node", "1", "--degree", "24", "--fold-check"],
     ["verify-all"],
+    ["fold-verify", "--type", "D24~2", "--all"],
 ])
 def test_closed_stdout_pipe_exits_quietly(argv):
     # `loomfold ... | head -c 10`: the reader takes a few bytes and closes the
-    # pipe; the CLI must exit 141 (128 + SIGPIPE) without a traceback.  Both
+    # pipe; the CLI must exit 141 (128 + SIGPIPE) without a traceback.  Two
     # outputs are about 12 kB, so the pipe is shrunk to one page: the child
-    # then still has output to write when the reader closes, whatever the timing
+    # then still has output to write when the reader closes, whatever the
+    # timing.  fold-verify writes 6.2 MB, node by node, as it checks them
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("the pipe size cannot be set on this platform")
@@ -583,6 +648,35 @@ def test_closed_stdout_pipe_exits_quietly(argv):
         code = proc.wait(timeout=120)
     assert head and err == b""
     assert code == 141
+
+
+def _peak_kb(argv):
+    """VmHWM in kB of a fresh interpreter that runs argv with stdout on devnull.
+
+    The child reads its own VmHWM: an exec'd child's ru_maxrss carries its
+    spawner's peak."""
+    script = ("import contextlib, os, sys\n"
+              "import loomfold.cli\n"
+              "with open(os.devnull, 'w') as null, contextlib.redirect_stdout(null):\n"
+              f"    code = loomfold.cli.main({argv!r})\n"
+              "with open('/proc/self/status') as status:\n"
+              "    peak = next(line for line in status if line.startswith('VmHWM:'))\n"
+              "print(code, peak.split()[1])\n")
+    proc = _child(["-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    code, peak = proc.stdout.split()
+    assert code == "0"
+    return int(peak)
+
+
+def test_fold_verify_memory_stays_flat_with_the_output():
+    # D24~2 --all writes 6.2 MB, D3~2 --all 1.2 kB; node by node, the peak
+    # grows by the largest cell, not by the whole document
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status on this platform")
+    small = _peak_kb(["fold-verify", "--type", "D3~2", "--all"])
+    big = _peak_kb(["fold-verify", "--type", "D24~2", "--all"])
+    assert big - small < 8 * 1024, (small, big)
 
 
 def _assert_cannot_write(proc):
