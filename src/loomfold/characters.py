@@ -33,7 +33,7 @@ from collections.abc import ItemsView, Mapping
 from typing import NamedTuple
 
 from .cartan import MAX_DEGREE, AffineData, Vec, VerificationFailure
-from .folding import OrbitMap, bar_inversion_parts
+from .folding import OrbitMap, bar_inversion_parts, parent_char_exponents, sigma_for
 
 
 class NonIntegerExponent(ValueError):
@@ -272,3 +272,10 @@ def series_equal(a: CharSeries, b: CharSeries, degree: int) -> EqualityReport:
             if ca != cb:
                 return EqualityReport(equal=False, witness=(m, ca, cb))
     return EqualityReport(equal=True, witness=None)
+
+
+def series_check(data: AffineData, s: int, degree: int, twisted: CharSeries) -> EqualityReport:
+    """The folded parent series of twisted node s against `twisted` up to `degree`."""
+    om = sigma_for(data)
+    parent = product_from_exponents(parent_char_exponents(om, s), om.parent_rank, degree)
+    return series_equal(fold_series(parent, om, degree), twisted, degree)

@@ -20,7 +20,7 @@ class NonzeroCoefficient(VerificationFailure):
 
 
 class NonIntegerCoefficient(ValueError):
-    """A LaurentPoly coefficient that is not an int, such as 1/2 or 0.5."""
+    """A LaurentPoly coefficient that is not an int, such as 1/2, 0.5 or True."""
 
 
 class LaurentPoly:
@@ -32,7 +32,7 @@ class LaurentPoly:
         self.terms = {}
         if terms:
             for key, c in terms.items():
-                if not isinstance(c, int):
+                if not isinstance(c, int) or isinstance(c, bool):
                     raise NonIntegerCoefficient(f"coefficient {c!r} is not an integer")
                 if c:
                     self.terms[key] = c
@@ -90,7 +90,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, (LaurentPoly, int)):
+        if not isinstance(other, (LaurentPoly, int)) or isinstance(other, bool):
             return NotImplemented
         return self.terms == _coerce(other).terms
 
@@ -260,6 +260,16 @@ def eta_case(family: str, n: int, o: int = 1) -> EtaCase:
     bracket = q_power(-1) - q_power(-3)
     ok = (c + b * bracket).is_zero()
     return EtaCase(family=family, n=n, o=o, b=b, c=c, eta=eta, cancellation_ok=ok)
+
+
+# serre_coeff_check's cases as (name, kwargs): serre-check reports all of them
+# under these names, and verify-all's qsymbolic cell checks the first two, the D cases
+_SERRE_CASES = (
+    ("i1j0_D", {"case": "i1j0_D"}),
+    ("i0j1_D", {"case": "i0j1_D"}),
+    *((f"generic(a_ij={a_ij},d_i={d_i})", {"case": "generic", "a_ij": a_ij, "d_i": d_i})
+      for a_ij, d_i in ((0, 1), (-1, 1), (-1, 2), (-2, 1), (-3, 1))),
+)
 
 
 def serre_coeff_check(case: str, a_ij: int | None = None, d_i: int = 1) -> list[LaurentPoly]:

@@ -1,40 +1,16 @@
-"""The checks of `loomfold verify-all`, one implementation each, and its suites.
+"""The suites of `loomfold verify-all`, over the layers' checks.
 
-`oracle` and `series_check` also serve `inversions` and `char --fold-check`,
-and the Serre case list serves `serre-check`.
 Each suite generator yields `(suite, label, ok, detail)` cells, and `cells`
 chains them in verify-all's order; the tests iterate the same generators.
-Each function imports the layers it calls, so that `inversions` and
-`char --fold-check` load only theirs; layer functions are called through
-their modules, so that a tracer which replaces them there also sees the calls.
+Layer functions are called through their modules, so that a tracer which
+replaces them there also sees the calls.
 """
 
 from __future__ import annotations
 
 from itertools import chain, product
-from typing import TYPE_CHECKING
 
-from . import cartan
-
-if TYPE_CHECKING:
-    from .characters import EqualityReport
-
-
-def oracle(d, s: int):
-    """(word, tau, betas in word order, closed form) for t_{-lambda_s}."""
-    from . import weyl
-    word, tau = weyl.alcove_factorize(d, weyl.translation_minus_lambda(d, s))
-    return word, tau, weyl.inversion_set_from_word(d, word), weyl.inversion_set_closed_form(d, s)
-
-
-def series_check(d, s: int, degree: int, twisted) -> EqualityReport:
-    """The folded parent series of twisted node s against `twisted` up to `degree`."""
-    from . import characters, folding
-    om = folding.sigma_for(d)
-    parent = characters.product_from_exponents(
-        folding.parent_char_exponents(om, s), om.parent_rank, degree)
-    folded = characters.fold_series(parent, om, degree)
-    return characters.series_equal(folded, twisted, degree)
+from . import cartan, characters, folding, pbw, qsymbolic, weyl
 
 
 def oracle_cells():
@@ -43,16 +19,14 @@ def oracle_cells():
     for at in cartan.all_affine_types(8):
         d = cartan.build_affine(at)
         for s in range(1, d.n + 1):
-            word, tau, betas, closed = oracle(d, s)
-            ok = (set(betas) == set(closed) and len(word) == len(closed)
-                  and word[0] == s and word[-1] == tau[0])
+            word, tau, betas, closed = weyl.oracle(d, s)
+            ok = weyl.oracle_agrees(s, word, tau, betas, closed)
             yield "oracle", f"{at} s={s}", ok, f"l={len(word)}"
 
 
 def fold_cells(inject_fault: bool):
     """The folding exponent identity on every twisted node with n <= 8
     (110 cells); `inject_fault` doubles the xi values of D3~2 s=2."""
-    from . import folding
     for at in cartan.twisted_types(8):
         d = cartan.build_affine(at)
         for s in range(1, d.n + 1):
@@ -67,18 +41,16 @@ def fold_cells(inject_fault: bool):
 def series_cells(degree: int, max_n: int = 8):
     """Folded parent series vs twisted character series up to height
     `degree`, on every twisted node with n <= max_n (110 cells at 8)."""
-    from . import characters
     for at in cartan.twisted_types(max_n):
         d = cartan.build_affine(at)
         for s in range(1, d.n + 1):
-            rep = series_check(d, s, degree, characters.char_product(d, s, degree))
+            rep = characters.series_check(d, s, degree, characters.char_product(d, s, degree))
             yield "series", f"{at} s={s} D={degree}", rep.equal, str(rep.witness or "")
 
 
 def pbw_cells():
     """Reduced words up to 2-braid moves and complete e'-pairings at three
     minuscule fixtures."""
-    from . import pbw, weyl
     for family, big_n, r, s, expect_word in (("A", 5, 2, 1, (1, 2, 3, 2, 1)),
                                              ("D", 3, 2, 2, (2, 1, 2)),
                                              ("D", 4, 2, 3, (3, 2, 1, 3, 2, 3))):
@@ -92,7 +64,6 @@ def pbw_cells():
 
 def _eta_failure(family: str, n: int, o: int) -> str:
     """What fails for eta_case(family, n, o), or "" when nothing does."""
-    from . import qsymbolic
     case = qsymbolic.eta_case(family, n, o)
     psi = qsymbolic.psi_from_bc("omega", case.b, case.c, o)
     if not case.cancellation_ok:
@@ -106,23 +77,12 @@ def _eta_failure(family: str, n: int, o: int) -> str:
     return ""
 
 
-# serre_coeff_check's cases as (name, kwargs): serre-check reports all of them
-# under these names, and the qsymbolic cell checks the first two, the D cases
-_SERRE_CASES = (
-    ("i1j0_D", {"case": "i1j0_D"}),
-    ("i0j1_D", {"case": "i0j1_D"}),
-    *((f"generic(a_ij={a_ij},d_i={d_i})", {"case": "generic", "a_ij": a_ij, "d_i": d_i})
-      for a_ij, d_i in ((0, 1), (-1, 1), (-1, 2), (-2, 1), (-3, 1))),
-)
-
-
 def qsymbolic_cells():
     """One cell: the quantum Serre cancellations of the D cases, then, for n = 2..10,
     both minuscule families and o = +-1, the eta cancellation and
     Psi(z) = omega / (1 - a eta z)."""
-    from . import qsymbolic
     try:
-        for _, kwargs in _SERRE_CASES[:2]:
+        for _, kwargs in qsymbolic._SERRE_CASES[:2]:
             qsymbolic.serre_coeff_check(**kwargs)
     except qsymbolic.NonzeroCoefficient as exc:
         yield "qsymbolic", "identities", False, str(exc)

@@ -308,6 +308,19 @@ def inversion_set_closed_form(data: AffineData, s: int) -> list[Vec]:
     return sorted([v for v, _ in inversion_set_detailed(data, s)])
 
 
+def oracle(data: AffineData, s: int):
+    """(word, tau, betas in word order, closed form) for t_{-lambda_s}."""
+    word, tau = alcove_factorize(data, translation_minus_lambda(data, s))
+    return word, tau, inversion_set_from_word(data, word), inversion_set_closed_form(data, s)
+
+
+def oracle_agrees(s: int, word, tau, betas, closed) -> bool:
+    """The verdict on `oracle`'s output: the word and the closed form give the
+    same set, the word is as long as that set, starts with s and ends with tau[0]."""
+    return (set(betas) == set(closed) and len(word) == len(closed)
+            and word[0] == s and word[-1] == tau[0])
+
+
 def length_delta(data: AffineData, s: int, k: int, side: str) -> int:
     """l(s_k t) - l(t) on the left, l(t s_k) - l(t) on the right; always +1 or -1.
 

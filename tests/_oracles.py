@@ -8,7 +8,7 @@ fast path it checks.
 import argparse
 import functools
 
-from loomfold import cartan, characters, cli, folding, lattice, verify
+from loomfold import cartan, characters, cli, folding, lattice
 from loomfold.cartan import AffineData, IndexOutOfRange, Matrix, Vec, bilinear
 from loomfold.characters import CharSeries, _check_degree
 from loomfold.cli import MAX_RANK, UsageError
@@ -110,7 +110,7 @@ def char_doc(data: AffineData, s: int, degree: int, fold_check: bool) -> dict:
     ser = characters.char_product(data, s, degree)
     doc = {"type": str(data.type), "node": s, "degree": degree, "series": series_labels(ser)}
     if fold_check:
-        rep = verify.series_check(data, s, degree, ser)
+        rep = characters.series_check(data, s, degree, ser)
         doc["fold_check"] = {"equal": rep.equal, "witness": None if rep.witness is None else
                              {"monomial": ",".join(map(str, rep.witness[0][1:])),
                               "folded": rep.witness[1], "twisted": rep.witness[2]}}

@@ -190,6 +190,16 @@ def test_inversions(capsys):
     assert json.loads(out)["closed"] == [[0, 1], [1, 4]]
 
 
+def test_inversions_agree_is_the_oracle_cells_verdict(capsys, monkeypatch):
+    # a closed form that repeats one root has the word's set but not its length
+    real = weyl.inversion_set_closed_form
+    monkeypatch.setattr(weyl, "inversion_set_closed_form", lambda d, s: real(d, s) + real(d, s)[:1])
+    code, out, err = run(capsys, "inversions", "--type", "A5~2", "--node", "1")
+    assert (code, json.loads(out)["agree"], err) == (1, False, "")
+    cell = next(c for c in verify.oracle_cells() if c[1] == "A5~2 s=1")
+    assert cell[2] is False
+
+
 def test_fold_verify(capsys):
     code, out, _ = run(capsys, "fold-verify", "--type", "E6~2", "--node", "2")
     assert code == 0
@@ -273,7 +283,7 @@ def test_char_fold_check_failure(capsys, monkeypatch):
     def failing(d, s, degree, twisted):
         return characters.EqualityReport(equal=False, witness=((0, 1, 2), 3, 4))
 
-    monkeypatch.setattr(verify, "series_check", failing)
+    monkeypatch.setattr(characters, "series_check", failing)
     argv = ("char", "--type", "A4~2", "--node", "1", "--degree", "6", "--fold-check")
     doc, expect_code = _oracles.streamed_doc(argv)
     code, out, err = run(capsys, *argv)
@@ -516,13 +526,14 @@ _ALL_LAYERS = {"characters", "folding", "lattice", "pbw", "qsymbolic", "verify",
 @pytest.mark.parametrize("argv, layers", [
     (["cartan", "--type", "A5~2"], set()),
     (["eta", "--type", "A5~2"], {"qsymbolic"}),
+    (["serre-check"], {"qsymbolic"}),
     (["fold-verify", "--type", "A5~2", "--all"], {"folding", "lattice", "weyl"}),
     (["pbw-graph", "--type", "A5~2", "--node", "1"], {"lattice", "pbw", "weyl"}),
     (["char", "--type", "A5~2", "--node", "1", "--degree", "4"],
      {"characters", "folding", "lattice", "weyl"}),
     (["char", "--type", "A5~2", "--node", "1", "--degree", "4", "--fold-check"],
-     {"characters", "folding", "lattice", "verify", "weyl"}),
-    (["inversions", "--type", "A5~2", "--node", "1"], {"lattice", "verify", "weyl"}),
+     {"characters", "folding", "lattice", "weyl"}),
+    (["inversions", "--type", "A5~2", "--node", "1"], {"lattice", "weyl"}),
     (["verify-all", "--degree", "0"], _ALL_LAYERS),
 ])
 def test_command_loads_only_its_layers(argv, layers):

@@ -62,6 +62,7 @@ def test_laurent_eq_foreign_value_is_false():
     one = LaurentPoly.one()
     assert (one == None) is False  # noqa: E711
     assert (one == "x") is False
+    assert (one == True) is False  # noqa: E712
     assert one != "x"
 
 
@@ -74,6 +75,13 @@ def test_laurent_constant_hashes_like_its_int():
 def test_laurent_float_coefficient_rejected():
     with pytest.raises(NonIntegerCoefficient):
         q_power(1) * 0.5
+    # bool is an int subclass, but True is no coefficient
+    with pytest.raises(NonIntegerCoefficient, match="True"):
+        LaurentPoly({(0, 0): True, (1, 0): 2})
+    with pytest.raises(NonIntegerCoefficient):
+        LaurentPoly.term(True)
+    with pytest.raises(NonIntegerCoefficient):
+        q_power(1) + False
 
 
 def test_serre_fixed_cases():
